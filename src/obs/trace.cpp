@@ -2,28 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cinttypes>
-#include <cstdio>
 #include <ostream>
+
+#include "src/obs/json_fmt.hpp"
 
 namespace burst {
 
 namespace {
-
-// max_digits10-precision %g: round-trips any finite double exactly and,
-// unlike shortest-round-trip printing, is deterministic across platforms
-// — the JSONL export is golden-tested byte for byte.
-void append_double(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-void append_i64(std::string& out, std::int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out += buf;
-}
 
 void append_escaped(std::string& out, std::string_view s) {
   for (const char c : s) {
@@ -32,7 +17,32 @@ void append_escaped(std::string& out, std::string_view s) {
   }
 }
 
+/// Escaped once per name, not once per record.
+std::vector<std::string> escaped_all(const std::vector<std::string>& names,
+                                     std::string_view prefix = {}) {
+  std::vector<std::string> out;
+  out.reserve(names.size());
+  for (const std::string& n : names) {
+    std::string& e = out.emplace_back(prefix);
+    append_escaped(e, n);
+  }
+  return out;
+}
+
+bool before_in_time(const TraceRecord& a, const TraceRecord& b) {
+  return a.time < b.time;
+}
+
+/// The scheduler key: execution time, then the executing event's
+/// tie-break instant (replayed across LPs by schedule_at_as_of).
+bool before_in_key(const TraceRecord& a, const TraceRecord& b) {
+  if (a.time != b.time) return a.time < b.time;
+  return a.tie < b.tie;
+}
+
 constexpr double kMicrosPerSec = 1e6;
+/// Exports build their text in chunks of about this size, then write.
+constexpr std::size_t kWriteChunk = std::size_t{1} << 20;
 
 }  // namespace
 
@@ -55,8 +65,10 @@ std::string_view to_string(TraceEventType t) {
   return "unknown";
 }
 
-TraceSink::TraceSink(std::size_t capacity) {
-  ring_.resize(capacity == 0 ? 1 : capacity);
+TraceSink::TraceSink(std::size_t capacity) : live_(capacity), late_(capacity) {
+  // Live records are the bulk of a trace, so their ring is reserved whole;
+  // aggregates come a few per drop cluster and their ring grows as needed.
+  live_.reserve();
   // Site 0 is the catch-all for records emitted before any registration.
   sites_.emplace_back("unknown");
 }
@@ -78,123 +90,170 @@ std::uint16_t TraceSink::intern_state(std::string_view name) {
   return static_cast<std::uint16_t>(states_.size() - 1);
 }
 
-std::vector<TraceRecord> TraceSink::unrolled() const {
-  std::vector<TraceRecord> out;
-  out.reserve(size());
-  if (emitted_ >= ring_.size()) {
-    // Wrapped: oldest surviving record sits at head_.
-    out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(head_),
-               ring_.end());
-    out.insert(out.end(), ring_.begin(),
-               ring_.begin() + static_cast<std::ptrdiff_t>(head_));
-  } else {
-    out.insert(out.end(), ring_.begin(),
-               ring_.begin() + static_cast<std::ptrdiff_t>(head_));
+void TraceSink::Ring::overwrite_oldest(const TraceRecord& r) {
+  slots_[head_] = r;
+  if (++head_ == capacity_) head_ = 0;
+}
+
+template <typename Before>
+std::span<const TraceRecord> TraceSink::Ring::sorted(
+    std::vector<TraceRecord>& scratch, Before before) const {
+  if (head_ == 0 && std::is_sorted(slots_.begin(), slots_.end(), before)) {
+    return slots_;
   }
-  return out;
+  const auto head = slots_.begin() + static_cast<std::ptrdiff_t>(head_);
+  scratch.assign(head, slots_.end());
+  scratch.insert(scratch.end(), slots_.begin(), head);
+  std::stable_sort(scratch.begin(), scratch.end(), before);
+  return scratch;
+}
+
+template <typename Fn>
+void TraceSink::for_each_ordered(Fn&& fn) const {
+  // Live records are emitted in execution order, which is time order, so
+  // the stable sort on time behind sorted() runs only if a check finds
+  // one out of place; it keeps same-instant records in emission order
+  // (the scheduler's deterministic tie-break).
+  std::vector<TraceRecord> live_scratch, late_scratch;
+  const std::span<const TraceRecord> live =
+      live_.sorted(live_scratch, before_in_time);
+  const std::span<const TraceRecord> late =
+      late_.sorted(late_scratch, before_in_time);
+  // An aggregate follows the live records of its instant: it was emitted
+  // after all of them.
+  auto agg = late.begin();
+  for (const TraceRecord& r : live) {
+    for (; agg != late.end() && agg->time < r.time; ++agg) fn(*agg);
+    fn(r);
+  }
+  for (; agg != late.end(); ++agg) fn(*agg);
 }
 
 std::vector<TraceRecord> TraceSink::ordered() const {
-  std::vector<TraceRecord> out = unrolled();
-  // Emission order is execution order, which is time order except for
-  // lazily-closed aggregate records; stable sort preserves same-instant
-  // emission order (the scheduler's deterministic tie-break).
-  std::stable_sort(out.begin(), out.end(),
-                   [](const TraceRecord& a, const TraceRecord& b) {
-                     return a.time < b.time;
-                   });
+  std::vector<TraceRecord> out;
+  out.reserve(size());
+  for_each_ordered([&out](const TraceRecord& r) { out.push_back(r); });
   return out;
 }
 
 void TraceSink::merge_from(const std::vector<const TraceSink*>& parts) {
-  std::vector<TraceRecord> all;
-  {
-    std::size_t total = 0;
-    for (const TraceSink* p : parts) total += p->size();
-    all.reserve(total);
-  }
+  assert(emitted_ == 0 && "merge_from() fills a sink that has not recorded");
   // Remap every part's site/state ids by name. Processing parts in LP
   // order keeps this sink's registries equal to the sequential run's when
   // LP 0 interns everything (the dumbbell split), and deterministic
   // regardless.
-  for (const TraceSink* p : parts) {
-    std::vector<std::uint8_t> site_map(p->sites_.size(), 0);
-    for (std::size_t i = 0; i < p->sites_.size(); ++i) {
-      site_map[i] = register_site(p->sites_[i]);
+  struct IdMap {
+    std::vector<std::uint8_t> sites;
+    std::vector<std::uint16_t> states;
+  };
+  std::vector<IdMap> maps(parts.size());
+  for (std::size_t k = 0; k < parts.size(); ++k) {
+    for (const std::string& name : parts[k]->sites_) {
+      maps[k].sites.push_back(register_site(name));
     }
-    std::vector<std::uint16_t> state_map(p->states_.size(), 0);
-    for (std::size_t i = 0; i < p->states_.size(); ++i) {
-      state_map[i] = intern_state(p->states_[i]);
+    for (const std::string& name : parts[k]->states_) {
+      maps[k].states.push_back(intern_state(name));
     }
-    for (const TraceRecord& r : p->unrolled()) {
-      TraceRecord m = r;
-      m.site = r.site < site_map.size() ? site_map[r.site] : 0;
-      if (m.type == TraceEventType::kCcStateChange &&
-          r.detail < state_map.size()) {
-        m.detail = state_map[r.detail];
+    // Every record the parts ever emitted, so dropped() counts what their
+    // rings overwrote too, as the sequential rings' would.
+    emitted_ += parts[k]->emitted_;
+  }
+
+  // k-way merge of one ring across the parts, each read in (time, tie)
+  // order: in place, unless it wrapped or holds a record out of order.
+  // A residual tie goes to the lower LP index and within a part emission
+  // order stands — exactly what a stable sort over the LP-concatenated
+  // records gives, the same residual-tie discipline the per-LP schedulers
+  // use. Only the last capacity() merged records are stored: the earlier
+  // ones are what an overfull ring would have overwritten.
+  const auto merge = [&](Ring TraceSink::*ring) {
+    std::vector<std::vector<TraceRecord>> scratch(parts.size());
+    std::vector<std::span<const TraceRecord>> recs;
+    std::vector<std::size_t> next(parts.size(), 0);
+    std::size_t total = 0;
+    for (std::size_t k = 0; k < parts.size(); ++k) {
+      recs.push_back((parts[k]->*ring).sorted(scratch[k], before_in_key));
+      total += recs.back().size();
+    }
+    Ring& into = this->*ring;
+    const std::size_t skip =
+        total > into.capacity() ? total - into.capacity() : 0;
+    for (std::size_t n = 0; n < total; ++n) {
+      std::size_t best = parts.size();
+      for (std::size_t k = 0; k < parts.size(); ++k) {
+        if (next[k] < recs[k].size() &&
+            (best == parts.size() ||
+             before_in_key(recs[k][next[k]], recs[best][next[best]]))) {
+          best = k;
+        }
       }
-      all.push_back(m);
+      const TraceRecord& r = recs[best][next[best]++];
+      if (n < skip) continue;
+      // Already stamped by the originating sink; bypass the stamping emit.
+      TraceRecord m = r;
+      const IdMap& map = maps[best];
+      m.site = r.site < map.sites.size() ? map.sites[r.site] : 0;
+      if (m.type == TraceEventType::kCcStateChange &&
+          r.detail < map.states.size()) {
+        m.detail = map.states[r.detail];
+      }
+      into.push(m);
     }
-  }
-  // The scheduler key: execution time, then the executing event's
-  // tie-break instant (replayed across LPs by schedule_at_as_of). Stable
-  // over the LP-concatenated input, so within-LP emission order breaks
-  // any residual tie exactly as the per-LP schedulers did.
-  std::stable_sort(all.begin(), all.end(),
-                   [](const TraceRecord& a, const TraceRecord& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.tie < b.tie;
-                   });
-  for (const TraceRecord& r : all) {
-    // Already stamped by the originating sink; bypass the stamping emit.
-    ring_[head_] = r;
-    if (++head_ == ring_.size()) head_ = 0;
-    ++emitted_;
-  }
+  };
+  merge(&TraceSink::live_);
+  merge(&TraceSink::late_);
 }
 
 bool TraceSink::write_jsonl(std::ostream& os) const {
-  std::string line;
-  for (const TraceRecord& r : ordered()) {
-    line.clear();
-    line += "{\"t\":";
-    append_double(line, r.time);
-    line += ",\"type\":\"";
-    line += to_string(r.type);
-    line += "\",\"site\":\"";
-    append_escaped(line, sites_[r.site < sites_.size() ? r.site : 0]);
-    line += "\",\"flow\":";
-    append_i64(line, r.flow);
-    line += ",\"seq\":";
-    append_i64(line, r.seq);
-    line += ",\"value\":";
-    append_double(line, r.value);
-    line += ",\"aux\":";
-    append_double(line, r.aux);
-    line += ",\"detail\":";
-    append_i64(line, r.detail);
+  const std::vector<std::string> sites = escaped_all(sites_);
+  const std::vector<std::string> states = escaped_all(states_);
+  std::string out;
+  for_each_ordered([&](const TraceRecord& r) {
+    out += "{\"t\":";
+    append_double(out, r.time);
+    out += ",\"type\":\"";
+    out += to_string(r.type);
+    out += "\",\"site\":\"";
+    out += sites[r.site < sites.size() ? r.site : 0];
+    out += "\",\"flow\":";
+    append_i64(out, r.flow);
+    out += ",\"seq\":";
+    append_i64(out, r.seq);
+    out += ",\"value\":";
+    append_double(out, r.value);
+    out += ",\"aux\":";
+    append_double(out, r.aux);
+    out += ",\"detail\":";
+    append_i64(out, r.detail);
     if (r.type == TraceEventType::kCcStateChange &&
-        r.detail < states_.size()) {
-      line += ",\"state\":\"";
-      append_escaped(line, states_[r.detail]);
-      line += '"';
+        r.detail < states.size()) {
+      out += ",\"state\":\"";
+      out += states[r.detail];
+      out += '"';
     }
-    line += "}\n";
-    os << line;
-  }
+    out += "}\n";
+    if (out.size() >= kWriteChunk) {
+      os << out;
+      out.clear();
+    }
+  });
+  os << out;
   return static_cast<bool>(os);
 }
 
 bool TraceSink::write_chrome_trace(std::ostream& os) const {
-  const std::vector<TraceRecord> recs = ordered();
+  const std::vector<std::string> qlen_names = escaped_all(sites_, "qlen ");
+  const std::vector<std::string> state_names =
+      escaped_all(states_, "state: ");
 
   // Flow tracks get their own pid so Perfetto groups each flow's counter
   // and instant tracks together; network sites share pid 1.
   constexpr int kNetPid = 1;
   constexpr int kFlowPidBase = 1000;
   std::vector<bool> flow_seen;
-  for (const TraceRecord& r : recs) {
-    if (r.flow >= 0) {
+  for (const Ring* ring : {&live_, &late_}) {
+    for (const TraceRecord& r : ring->slots()) {
+      if (r.flow < 0) continue;
       if (static_cast<std::size_t>(r.flow) >= flow_seen.size()) {
         flow_seen.resize(static_cast<std::size_t>(r.flow) + 1, false);
       }
@@ -229,12 +288,13 @@ bool TraceSink::write_chrome_trace(std::ostream& os) const {
     meta("thread_name", kFlowPidBase + static_cast<int>(f), 0, "events");
   }
 
+  // @p name is JSON string content, already escaped.
   auto header = [&](std::string_view name, char ph, int pid, int tid,
                     Time t) {
     if (!first) out += ",\n";
     first = false;
     out += "{\"name\":\"";
-    append_escaped(out, name);
+    out += name;
     out += "\",\"ph\":\"";
     out.push_back(ph);
     out += "\",\"ts\":";
@@ -258,14 +318,14 @@ bool TraceSink::write_chrome_trace(std::ostream& os) const {
     out += ",\"s\":\"t\",\"args\":{";
   };
 
-  for (const TraceRecord& r : recs) {
+  for_each_ordered([&](const TraceRecord& r) {
     const int site_tid = r.site < sites_.size() ? r.site : 0;
-    const std::string& site = sites_[static_cast<std::size_t>(site_tid)];
     const int flow_pid = kFlowPidBase + (r.flow >= 0 ? r.flow : 0);
     switch (r.type) {
       case TraceEventType::kQueueEnqueue:
       case TraceEventType::kQueueDequeue:
-        counter1("qlen " + site, kNetPid, r.time, "packets", r.value);
+        counter1(qlen_names[static_cast<std::size_t>(site_tid)], kNetPid,
+                 r.time, "packets", r.value);
         break;
       case TraceEventType::kQueueDrop:
         instant_begin("drop", kNetPid, site_tid, r.time);
@@ -312,15 +372,14 @@ bool TraceSink::write_chrome_trace(std::ostream& os) const {
       case TraceEventType::kVegasDiff:
         counter1("vegas_diff", flow_pid, r.time, "diff", r.value);
         break;
-      case TraceEventType::kCcStateChange: {
-        std::string name = "state: ";
-        name += r.detail < states_.size() ? states_[r.detail] : "?";
-        instant_begin(name, flow_pid, 0, r.time);
+      case TraceEventType::kCcStateChange:
+        instant_begin(
+            r.detail < state_names.size() ? state_names[r.detail] : "state: ?",
+            flow_pid, 0, r.time);
         out += "\"cwnd\":";
         append_double(out, r.value);
         out += "}}";
         break;
-      }
       case TraceEventType::kFastRetransmit:
       case TraceEventType::kRto:
         instant_begin(r.type == TraceEventType::kRto ? "rto"
@@ -343,11 +402,11 @@ bool TraceSink::write_chrome_trace(std::ostream& os) const {
         out += "}}";
         break;
     }
-    if (out.size() >= (std::size_t{1} << 20)) {
+    if (out.size() >= kWriteChunk) {
       os << out;
       out.clear();
     }
-  }
+  });
   out += "\n]}\n";
   os << out;
   return static_cast<bool>(os);

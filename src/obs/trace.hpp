@@ -12,9 +12,12 @@
 //    an event, never consumes RNG, never mutates component state — a
 //    traced run's ExperimentResult is bit-identical to an untraced one
 //    (tests/obs_trace_test.cpp proves it differentially).
-//  * Bounded memory. Records land in a fixed-capacity ring; when a run
-//    outgrows it, the oldest records are overwritten and counted, never
-//    reallocated mid-run.
+//  * Bounded memory. Records land in a fixed-capacity ring (late
+//    aggregates in a second one); when a run outgrows it, the oldest
+//    records are overwritten and counted, never reallocated mid-run. The
+//    ring reserves its capacity up front but only as address space: pages
+//    fault in as records land, so a traced run pays for the records it
+//    holds, not for the capacity.
 //
 // Exports: JSONL (one record per line, greppable) and Chrome trace-event
 // JSON (the `{"traceEvents": [...]}` dialect Perfetto and chrome://tracing
@@ -24,6 +27,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -71,6 +75,8 @@ struct TraceRecord {
   std::uint16_t detail = 0;
   std::uint8_t lp = 0;  // logical process that emitted the record
 };
+static_assert(sizeof(TraceRecord) == 56,
+              "TraceRecord layout is part of the ring's memory budget");
 
 /// `detail` bit layout for packet-lifecycle records (queue/link/source):
 /// bit 0 = packet kind (0 data, 1 ack); bits 1-2 = drop reason for
@@ -82,8 +88,10 @@ inline constexpr std::uint16_t kTraceDropDisplaced = 2 << 1;
 
 class TraceSink {
  public:
-  /// @p capacity caps the ring (records, not bytes). The default holds a
-  /// full paper-scale run (N=60, 20 s is ~2-3 M packet-lifecycle records).
+  /// @p capacity caps each of the sink's two rings (records, not bytes):
+  /// live records and late aggregates (see emit_aggregate). The default
+  /// holds a full paper-scale run (N=60, 20 s is ~2-3 M packet-lifecycle
+  /// records).
   explicit TraceSink(std::size_t capacity = std::size_t{1} << 22);
 
   /// Registers (or finds) a named emission site — "queue:gateway",
@@ -106,51 +114,45 @@ class TraceSink {
 
   std::uint8_t lp() const { return lp_; }
 
-  /// Appends a record; overwrites the oldest when the ring is full.
+  /// Appends a live record (stamped at the executing event, so emission
+  /// order is time order); overwrites the oldest live record when the
+  /// ring is full.
   void emit(const TraceRecord& r) {
-    TraceRecord& slot = ring_[head_];
-    slot = r;
-    slot.tie = tie_clock_ != nullptr ? *tie_clock_ : r.time;
-    slot.lp = lp_;
-    if (++head_ == ring_.size()) head_ = 0;
+    TraceRecord s = r;
+    s.tie = tie_clock_ != nullptr ? *tie_clock_ : r.time;
+    s.lp = lp_;
+    live_.push(s);
     ++emitted_;
   }
 
   /// Appends a lazily-closed aggregate (a record emitted AFTER its logical
-  /// timestamp, like FlowMonitor's congestion events). Stamped with
-  /// tie = kTimeNever so merge_from() sorts it after every same-instant
-  /// live record — exactly where the sequential engine's late emission
-  /// plus stable time sort lands it.
+  /// timestamp, like FlowMonitor's congestion events) to a ring of its
+  /// own, so that an overfull live ring evicts in time order in every
+  /// engine (DESIGN.md §14.1). Stamped with tie = kTimeNever: it orders
+  /// after every same-instant live record — exactly where the sequential
+  /// engine's late emission plus stable time sort lands it.
   void emit_aggregate(const TraceRecord& r) {
-    TraceRecord& slot = ring_[head_];
-    slot = r;
-    slot.tie = kTimeNever;
-    slot.lp = lp_;
-    if (++head_ == ring_.size()) head_ = 0;
+    TraceRecord s = r;
+    s.tie = kTimeNever;
+    s.lp = lp_;
+    late_.push(s);
     ++emitted_;
   }
 
   /// Records ever emitted (including any overwritten ones).
   std::uint64_t emitted() const { return emitted_; }
-  /// Records overwritten because the ring was full.
-  std::uint64_t dropped() const {
-    return emitted_ > ring_.size() ? emitted_ - ring_.size() : 0;
-  }
+  /// Records overwritten because a ring was full.
+  std::uint64_t dropped() const { return emitted_ - size(); }
   /// Records currently held.
-  std::size_t size() const {
-    return emitted_ < ring_.size() ? static_cast<std::size_t>(emitted_)
-                                   : ring_.size();
-  }
-  /// Ring capacity in records (what the constructor reserved).
-  std::size_t capacity() const { return ring_.size(); }
+  std::size_t size() const { return live_.size() + late_.size(); }
+  /// Capacity of each ring in records (what the constructor was given).
+  std::size_t capacity() const { return live_.capacity(); }
 
   const std::vector<std::string>& sites() const { return sites_; }
   const std::vector<std::string>& states() const { return states_; }
 
-  /// The held records in nondecreasing time order. Components emit in
-  /// event-execution order, which is already time order except for
-  /// lazily-closed aggregates (FlowMonitor's final congestion event), so
-  /// this is a near-no-op stable sort.
+  /// The held records in nondecreasing time order: the live ring, with
+  /// the aggregates merged in after the live records of their instant.
   std::vector<TraceRecord> ordered() const;
 
   /// Deterministic multi-LP merge: appends every part's held records into
@@ -161,8 +163,14 @@ class TraceSink {
   /// nondecreasing tie order, and cross-LP deliveries replay the
   /// producer's tie (Simulator::schedule_at_as_of), so the merged order
   /// reproduces the sequential engine's emission order and the exports
-  /// are byte-identical to a 1-LP run (tests/trace_merge_test.cpp).
-  /// Call once, on a sink that has not recorded; parts stay untouched.
+  /// are byte-identical to a 1-LP run (tests/trace_merge_test.cpp). Each
+  /// ring is a k-way merge of the parts' rings, residual ties going to the
+  /// lower LP index: the order a stable sort of the LP-concatenated
+  /// records gives. When the parts hold more than this sink's capacity,
+  /// the earliest merged records are dropped, as if the ring had
+  /// overwritten them; emitted() becomes the parts' total, so dropped()
+  /// also counts what they dropped. Call once, on a sink that has not
+  /// recorded; parts stay untouched.
   void merge_from(const std::vector<const TraceSink*>& parts);
 
   /// One JSON object per line; schema in scripts/trace_event.schema.json.
@@ -173,11 +181,54 @@ class TraceSink {
   bool write_chrome_trace(std::ostream& os) const;
 
  private:
-  /// The held records in emission order (ring unrolled, no sort).
-  std::vector<TraceRecord> unrolled() const;
+  /// Fixed-capacity record ring: appends until full, then overwrites the
+  /// oldest record. It never reallocates once reserved.
+  class Ring {
+   public:
+    explicit Ring(std::size_t capacity)
+        : capacity_(capacity == 0 ? 1 : capacity) {}
 
-  std::vector<TraceRecord> ring_;
-  std::size_t head_ = 0;
+    /// Takes the capacity as address space only: pages fault in as
+    /// records land.
+    void reserve() { slots_.reserve(capacity_); }
+
+    void push(const TraceRecord& r) {
+      if (slots_.size() < capacity_) [[likely]] {
+        slots_.push_back(r);
+      } else {
+        overwrite_oldest(r);
+      }
+    }
+
+    std::size_t size() const { return slots_.size(); }
+    std::size_t capacity() const { return capacity_; }
+    const std::vector<TraceRecord>& slots() const { return slots_; }
+
+    /// The held records sorted by @p before (stable over push order): the
+    /// slots themselves when the ring has not wrapped and is already in
+    /// that order, otherwise a sorted copy kept in @p scratch.
+    template <typename Before>
+    std::span<const TraceRecord> sorted(std::vector<TraceRecord>& scratch,
+                                        Before before) const;
+
+   private:
+    void overwrite_oldest(const TraceRecord& r);
+
+    std::size_t capacity_;
+    std::vector<TraceRecord> slots_;
+    /// Oldest held record once the ring is full (the next to overwrite);
+    /// 0 until the first overwrite, so [head_, end) + [0, head_) is always
+    /// push order.
+    std::size_t head_ = 0;
+  };
+
+  /// Calls @p fn on every held record in ordered() order, without a copy
+  /// when the rings are already in order (a merged sink's always are).
+  template <typename Fn>
+  void for_each_ordered(Fn&& fn) const;
+
+  Ring live_;
+  Ring late_;
   std::uint64_t emitted_ = 0;
   const Time* tie_clock_ = nullptr;
   std::uint8_t lp_ = 0;

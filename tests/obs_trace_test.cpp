@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -48,6 +49,38 @@ TEST(TraceSink, RingOverwritesOldestAndCounts) {
   }
 }
 
+// Filled to exactly its capacity, the ring has overwritten nothing yet but
+// its write position is back at the start: every record must still come
+// back, in emission order.
+TEST(TraceSink, RingFilledToCapacityKeepsEveryRecord) {
+  TraceSink sink(/*capacity=*/4);
+  for (int i = 0; i < 4; ++i) {
+    sink.emit(record(TraceEventType::kSourceEmit, static_cast<Time>(i), i));
+  }
+  EXPECT_EQ(sink.emitted(), sink.capacity());
+  EXPECT_EQ(sink.dropped(), 0u);
+  const std::vector<TraceRecord> got = sink.ordered();
+  ASSERT_EQ(got.size(), 4u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_DOUBLE_EQ(got[static_cast<std::size_t>(i)].time, i);
+  }
+  std::ostringstream os;
+  ASSERT_TRUE(sink.write_jsonl(os));
+  const std::string text = os.str();
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 4);
+}
+
+// The default ring is reserved, not filled: it reports its full capacity
+// and holds nothing until records land.
+TEST(TraceSink, DefaultSinkReservesButHoldsNothing) {
+  const TraceSink sink;
+  EXPECT_EQ(sink.capacity(), std::size_t{1} << 22);
+  EXPECT_EQ(sink.size(), 0u);
+  EXPECT_EQ(sink.emitted(), 0u);
+  EXPECT_EQ(sink.dropped(), 0u);
+  EXPECT_TRUE(sink.ordered().empty());
+}
+
 TEST(TraceSink, OrderedSortsLateEmissionsByTime) {
   TraceSink sink;
   sink.emit(record(TraceEventType::kQueueDrop, 1.0));
@@ -60,6 +93,23 @@ TEST(TraceSink, OrderedSortsLateEmissionsByTime) {
   EXPECT_DOUBLE_EQ(got[0].time, 1.0);
   EXPECT_DOUBLE_EQ(got[1].time, 2.0);
   EXPECT_EQ(got[1].type, TraceEventType::kCongestionEvent);
+  EXPECT_DOUBLE_EQ(got[2].time, 3.0);
+}
+
+// Late aggregates have a ring of their own: an overfull live ring evicts
+// only live records, and the aggregate still exports at its logical time.
+TEST(TraceSink, AggregateSurvivesLiveRingWrap) {
+  TraceSink sink(/*capacity=*/2);
+  for (int i = 0; i < 4; ++i) {
+    sink.emit(record(TraceEventType::kQueueDrop, static_cast<Time>(i)));
+  }
+  sink.emit_aggregate(record(TraceEventType::kCongestionEvent, 0.5));
+  EXPECT_EQ(sink.emitted(), 5u);
+  EXPECT_EQ(sink.dropped(), 2u);
+  const std::vector<TraceRecord> got = sink.ordered();
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[0].type, TraceEventType::kCongestionEvent);
+  EXPECT_DOUBLE_EQ(got[1].time, 2.0);
   EXPECT_DOUBLE_EQ(got[2].time, 3.0);
 }
 

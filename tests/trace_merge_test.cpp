@@ -35,17 +35,20 @@ Scenario small_scenario(Transport transport, GatewayQueue queue,
 
 struct TracedRun {
   ExperimentResult result;
+  std::uint64_t dropped = 0;
   std::string jsonl;
   std::string perfetto;
 };
 
-TracedRun traced_run(const Scenario& sc, int lp_shards) {
-  TraceSink sink;
+TracedRun traced_run(const Scenario& sc, int lp_shards,
+                     std::size_t capacity = std::size_t{1} << 22) {
+  TraceSink sink(capacity);
   ExperimentOptions opts;
   opts.trace = &sink;
   opts.lp_shards = lp_shards;
   TracedRun out;
   out.result = run_experiment(sc, opts);
+  out.dropped = sink.dropped();
   std::ostringstream j, p;
   EXPECT_TRUE(sink.write_jsonl(j));
   EXPECT_TRUE(sink.write_chrome_trace(p));
@@ -94,6 +97,28 @@ TEST(TraceMergeDifferential, Lp2ByteIdenticalAcrossSeeds) {
     const TracedRun seq = traced_run(sc, 1);
     const TracedRun par = traced_run(sc, 2);
     EXPECT_EQ(seq.jsonl, par.jsonl);
+  }
+}
+
+// Rings smaller than the run: both engines overwrite, and the exports must
+// still agree. Every per-LP ring keeps the full capacity (DESIGN.md §14.1),
+// so the LP rings' survivors include the sequential ring's last `capacity`
+// live records, and the merge keeps exactly those. N=30 makes RED drop in
+// clusters, so late congestion-event aggregates are in the trace too, and
+// a capacity below their count wraps their ring as well.
+TEST(TraceMergeDifferential, Lp2ByteIdenticalWhenRingsWrap) {
+  Scenario sc = small_scenario(Transport::kReno, GatewayQueue::kRed);
+  sc.num_clients = 30;
+  for (const std::size_t capacity : {std::size_t{3000}, std::size_t{8}}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    const TracedRun seq = traced_run(sc, 1, capacity);
+    const TracedRun par = traced_run(sc, 2, capacity);
+    ASSERT_EQ(par.result.lp_shards, 2);
+    EXPECT_GT(seq.dropped, 10 * capacity) << "the ring must wrap";
+    EXPECT_NE(seq.jsonl.find("congestion_event"), std::string::npos);
+    EXPECT_EQ(par.dropped, seq.dropped);
+    EXPECT_EQ(seq.jsonl, par.jsonl);
+    EXPECT_EQ(seq.perfetto, par.perfetto);
   }
 }
 
@@ -167,6 +192,32 @@ TEST(TraceMerge, MergedGoldenByteExact) {
       "\"flow\":2,\"seq\":-1,\"value\":2,\"aux\":0,\"detail\":1,"
       "\"state\":\"fast-recovery\"}\n";
   EXPECT_EQ(os.str(), expected);
+}
+
+// Parts holding more than the target's capacity: the merge keeps the
+// latest records in (time, tie) order and counts the rest as dropped, as
+// if the target ring had overwritten them.
+TEST(TraceMerge, MergeIntoSmallerSinkKeepsLatest) {
+  TraceSink a(8), b(8);
+  a.set_stamp(nullptr, 0);
+  b.set_stamp(nullptr, 1);
+  for (int i = 0; i < 4; ++i) {
+    a.emit(rec(TraceEventType::kSourceEmit, 2.0 * i, 0, i, 0.0));
+    b.emit(rec(TraceEventType::kSourceEmit, 2.0 * i + 1.0, 1, i, 0.0));
+  }
+  TraceSink merged(3);
+  merged.merge_from({&a, &b});
+  EXPECT_EQ(merged.emitted(), 8u);
+  EXPECT_EQ(merged.dropped(), 5u);
+  const std::vector<TraceRecord> got = merged.ordered();
+  ASSERT_EQ(got.size(), 3u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_DOUBLE_EQ(got[i].time, 5.0 + static_cast<double>(i));
+  }
+  // The merged sink is an ordinary full ring afterwards: the next record
+  // overwrites the oldest.
+  merged.emit(rec(TraceEventType::kSourceEmit, 8.0, 0, 4, 0.0));
+  EXPECT_DOUBLE_EQ(merged.ordered().front().time, 6.0);
 }
 
 // Parallel-runtime telemetry: the deterministic LpStats subset must land
@@ -279,7 +330,9 @@ TEST(FlightRecorder, FixedBudgetDecimates) {
   // Samples stay in time order and within the horizon.
   for (std::size_t i = 0; i < fr.samples().size(); ++i) {
     EXPECT_LE(fr.samples()[i].t, 4.0);
-    if (i > 0) EXPECT_GT(fr.samples()[i].t, fr.samples()[i - 1].t);
+    if (i > 0) {
+      EXPECT_GT(fr.samples()[i].t, fr.samples()[i - 1].t);
+    }
   }
 }
 
