@@ -2,12 +2,10 @@
 //
 // The builder sits on the experiment setup path, so campaigns pay it
 // once per point — this bench answers "how much does a .topo scenario
-// cost over the hard-coded constructor?" for the dumbbell at N=60:
+// to build?" for the dumbbell at N=60:
 //
 //   parse_n60        parse + validate the dumbbell text (no build)
 //   fingerprint_n60  canonical rendering + 128-bit key
-//   build_hardcoded  Dumbbell(sim, sc): the legacy constructor (itself a
-//                    TopoNet facade since the refactor)
 //   build_toponet    TopoNet(sim, spec) from the parsed spec
 //
 // All stages are deterministic; wall time is best-of 5 over `iters`
@@ -19,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/dumbbell.hpp"
 #include "src/core/report.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/topo/builder.hpp"
@@ -83,11 +80,6 @@ int main(int argc, char** argv) {
   });
   const double key_s =
       best_of(5, iters, [&] { (void)topo_key(*spec); });
-  const double hard_s = best_of(5, iters, [&] {
-    Simulator sim(sc.seed);
-    Dumbbell net(sim, sc);
-    (void)net;
-  });
   const double topo_s = best_of(5, iters, [&] {
     Simulator sim(sc.seed);
     TopoNet net(sim, *spec);
@@ -98,7 +90,6 @@ int main(int argc, char** argv) {
               {
                   {"parse_n60", fmt(parse_s * 1e6, 1)},
                   {"fingerprint_n60", fmt(key_s * 1e6, 1)},
-                  {"build_hardcoded", fmt(hard_s * 1e6, 1)},
                   {"build_toponet", fmt(topo_s * 1e6, 1)},
               });
   return 0;

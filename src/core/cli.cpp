@@ -271,8 +271,7 @@ std::string cli_usage() {
       "  --cwnd-validation      RFC 2861-style growth gating\n"
       "  --red-min=X --red-max=X --red-maxp=X   RED parameters\n"
       "  --lp=N                 logical processes for the conservative\n"
-      "                         parallel engine (default 1 = sequential;\n"
-      "                         --trace still clamps back to 1)\n"
+      "                         parallel engine (default 1 = sequential)\n"
       "  --trace=i,j,...        record cwnd of these clients\n"
       "  --csv=PATH             write traced cwnds as CSV\n"
       "  --trace-out=PATH       structured event trace: writes PATH.jsonl\n"

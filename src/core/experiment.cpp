@@ -1,14 +1,5 @@
 #include "src/core/experiment.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <string>
-
-#include "src/core/dumbbell.hpp"
-#include "src/obs/flight_recorder.hpp"
-#include "src/sim/simulator.hpp"
-#include "src/stats/binned_counter.hpp"
-#include "src/stats/fairness.hpp"
 #include "src/topo/runner.hpp"
 #include "src/topo/spec.hpp"
 
@@ -16,130 +7,7 @@ namespace burst {
 
 ExperimentResult run_experiment(const Scenario& scenario,
                                 const ExperimentOptions& options) {
-  // Parallel runs go through the generic TopoNet pipeline, which knows how
-  // to shard a spec across LPs — including traced runs, whose per-LP rings
-  // merge deterministically at export. Only the periodic cwnd sampler
-  // (trace_clients) still pins the run to this sequential path: it
-  // schedules its own events on the build Simulator.
-  if (options.lp_shards > 1 && options.trace_clients.empty()) {
-    return run_topo_experiment(make_dumbbell_spec(scenario), options,
-                               /*force_generic=*/true);
-  }
-
-  Simulator sim(scenario.seed);
-  Dumbbell net(sim, scenario);
-  if (options.trace != nullptr) net.attach_trace(*options.trace);
-  if (options.flight != nullptr) {
-    options.flight->observe_queue(&net.bottleneck_queue());
-    options.flight->observe_arena(&net.flow_arena());
-    options.flight->arm(sim, scenario.duration);
-  }
-
-  // Tap data-packet arrivals at the bottleneck queue into RTT-wide bins,
-  // and the pre-enqueue occupancy each one sees into a metrics histogram
-  // (PASTA: under Poisson arrivals this is the time-average occupancy).
-  MetricsRegistry registry;
-  Histogram& qlen_hist = registry.histogram(
-      "queue.gateway.len_at_arrival", {0, 1, 2, 4, 8, 16, 32, 64, 128});
-  BinnedCounter arrivals(scenario.rtt_prop(), scenario.warmup);
-  Queue& bottleneck = net.bottleneck_queue();
-  net.bottleneck_queue().taps().add_arrival_listener(
-      [&](const Packet& p, Time) {
-        if (p.type != PacketType::kData) return;
-        arrivals.record(sim.now());
-        qlen_hist.add(static_cast<double>(bottleneck.len()));
-      });
-
-  // Congestion-window tracing.
-  ExperimentResult result;
-  result.scenario = scenario;
-  result.cwnd_traces.reserve(options.trace_clients.size());
-  for (int c : options.trace_clients) {
-    result.cwnd_traces.emplace_back("client " + std::to_string(c + 1));
-  }
-  std::size_t ti = 0;
-  for (int c : options.trace_clients) {
-    if (TcpSender* s = net.tcp_sender(c)) {
-      s->set_cwnd_trace(&result.cwnd_traces[ti]);
-      if (options.cwnd_sample_period > 0.0) {
-        // Periodic samples in addition to change-driven ones, so plots have
-        // a regular grid like the paper's 0.1 s x-axis.
-        struct Sampler {
-          static void arm(Simulator& sim, TcpSender* s, TraceSeries* t,
-                          Time period, Time until) {
-            if (sim.now() + period > until) return;
-            sim.schedule(period, [&sim, s, t, period, until] {
-              t->record(sim.now(), s->cwnd());
-              arm(sim, s, t, period, until);
-            });
-          }
-        };
-        Sampler::arm(sim, s, &result.cwnd_traces[ti], options.cwnd_sample_period,
-                     scenario.duration);
-      }
-    }
-    ++ti;
-  }
-
-  net.start_sources();
-  const auto wall0 = std::chrono::steady_clock::now();
-  sim.run(scenario.duration);
-  result.sim_wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
-          .count();
-  result.sim_events = sim.events_run();
-  result.peak_pending = sim.scheduler().peak_pending();
-  if (result.sim_wall_s > 0.0) {
-    result.events_per_sec =
-        static_cast<double>(result.sim_events) / result.sim_wall_s;
-  }
-
-  // --- Collect ----------------------------------------------------------
-  const RunningStats bin_stats = arrivals.stats_until(scenario.duration);
-  result.cov = bin_stats.cov();
-  result.mean_per_bin = bin_stats.mean();
-  result.poisson_cov = poisson_aggregate_cov(
-      scenario.num_clients, 1.0 / scenario.mean_interarrival,
-      scenario.rtt_prop());
-
-  result.app_generated = net.total_generated();
-  result.delivered = net.total_delivered();
-  const QueueStats& qs = net.bottleneck_queue().stats();
-  result.gw_arrivals = qs.arrivals;
-  result.gw_drops = qs.drops;
-  result.loss_pct = 100.0 * qs.loss_fraction();
-
-  for (int i = 0; i < net.num_clients(); ++i) {
-    if (const TcpSender* s = net.tcp_sender(i)) {
-      const TcpSenderStats& st = s->stats();
-      result.timeouts += st.timeouts;
-      result.fast_retransmits += st.fast_retransmits;
-      result.dupacks += st.dupacks;
-      result.retransmits += st.retransmits;
-      result.data_pkts_sent += st.data_pkts_sent;
-    }
-  }
-  // Fig 13 ratio; see the convention note on ExperimentResult. A run with
-  // timeouts but zero dupacks clamps the denominator to 1 so the ratio
-  // degrades to the raw timeout count instead of silently reading 0.
-  if (result.timeouts > 0 || result.dupacks > 0) {
-    result.timeout_dupack_ratio =
-        static_cast<double>(result.timeouts) /
-        static_cast<double>(std::max<std::uint64_t>(result.dupacks, 1));
-  }
-  result.fairness = jain_fairness(net.per_flow_delivered());
-  result.delay = net.pooled_delay();
-  result.routing_errors = net.routing_errors();
-
-  // Component metrics. Scheduler counters are deterministic (instrumented
-  // runs execute the same event sequence); wall-clock values stay out so
-  // the snapshot is reproducible and cacheable.
-  net.register_metrics(registry);
-  registry.add_counter("sched.events", result.sim_events);
-  registry.add_counter("sched.peak_pending", result.peak_pending);
-  registry.add_counter("sched.scheduled", sim.scheduler().scheduled_count());
-  result.metrics = registry.snapshot();
-  return result;
+  return run_topo_experiment(make_dumbbell_spec(scenario), options);
 }
 
 }  // namespace burst

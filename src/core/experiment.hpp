@@ -36,10 +36,10 @@ struct ExperimentOptions {
   /// per-shard-count but may order exact same-instant ties differently
   /// than lp=1, so the scenario key is salted with this field whenever it
   /// exceeds 1 (the result cache must never mix shard counts). Requests
-  /// the topology cannot honor (no cut, zero lookahead) and runs with the
-  /// periodic cwnd sampler attached (trace_clients) clamp back to 1;
-  /// event tracing shards fine — each LP records into a private ring and
-  /// the rings merge deterministically at export (DESIGN.md §14).
+  /// the topology cannot honor (no cut, zero lookahead) clamp back to 1.
+  /// Tracing shards like everything else: each LP records into a private
+  /// ring, merged deterministically at export (DESIGN.md §14), and each
+  /// traced client's cwnd sampler runs on its sender's LP.
   int lp_shards = 1;
   /// Optional fixed-budget streaming sampler for huge-N runs (DESIGN.md
   /// §14.3). When non-null it is wired to the measured queue, the flow
@@ -155,7 +155,8 @@ struct ExperimentResult {
   std::vector<LpWindowPhase> lp_windows;
 };
 
-/// Builds the dumbbell, runs for scenario.duration and collects metrics.
+/// Builds the paper dumbbell, runs for scenario.duration and collects
+/// metrics: run_topo_experiment(make_dumbbell_spec(scenario), options).
 ExperimentResult run_experiment(const Scenario& scenario,
                                 const ExperimentOptions& options = {});
 

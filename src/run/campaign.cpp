@@ -48,6 +48,79 @@ std::uint64_t campaign_point_seed(const Scenario& base,
   return derive_seed(base.seed, config_name, num_clients);
 }
 
+FarmCounts farm_points(
+    ResultStore* store, const std::vector<ScenarioKey>& keys, unsigned threads,
+    const std::function<ExperimentResult(std::size_t)>& simulate,
+    std::vector<ExperimentResult>* results,
+    const std::function<void(const FarmCounts&)>& on_probe,
+    const std::function<void(const ExecutorProgress&)>& progress) {
+  FarmCounts counts;
+  results->resize(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (store) {
+      if (auto cached = store->get(keys[i])) {
+        (*results)[i] = std::move(*cached);
+        ++counts.cache_hits;
+        continue;
+      }
+    }
+    counts.misses.push_back(i);
+  }
+  if (on_probe) on_probe(counts);
+  if (counts.misses.empty()) return counts;
+
+  if (threads == 0) {
+    threads = static_cast<unsigned>(std::min<std::size_t>(
+        std::max(1u, std::thread::hardware_concurrency()),
+        counts.misses.size()));
+  }
+  std::atomic<std::size_t> simulated{0};
+  std::atomic<std::size_t> farmed{0};
+  const auto run_here = [&](std::size_t i) {
+    (*results)[i] = simulate(i);
+    simulated.fetch_add(1, std::memory_order_relaxed);
+  };
+  Executor executor(threads);
+  executor.run(
+      counts.misses.size(),
+      [&](std::size_t m) {
+        const std::size_t i = counts.misses[m];
+        if (!store) {
+          run_here(i);
+          return;
+        }
+        // Claim protocol: exactly one worker (thread here, process in the
+        // campaign farm) simulates each point; the rest wait for its
+        // published result instead of duplicating the work.
+        for (;;) {
+          switch (store->try_claim(keys[i])) {
+            case ClaimStatus::kAcquired:
+              run_here(i);
+              store->publish(keys[i], (*results)[i]);
+              return;
+            case ClaimStatus::kDone:
+              if (auto cached = store->get(keys[i])) {
+                (*results)[i] = std::move(*cached);
+                farmed.fetch_add(1, std::memory_order_relaxed);
+              } else {
+                // Entry vanished between claim check and get (should not
+                // happen — the store never forgets); simulate locally
+                // rather than hang.
+                run_here(i);
+              }
+              return;
+            case ClaimStatus::kBusy:
+              std::this_thread::sleep_for(std::chrono::milliseconds(50));
+              break;
+          }
+        }
+      },
+      progress);
+  counts.simulated = simulated.load();
+  counts.farmed_out = farmed.load();
+  return counts;
+}
+
 CampaignOutput run_campaign(const std::vector<CampaignSweep>& sweeps,
                             const CampaignOptions& opts) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -86,153 +159,96 @@ CampaignOutput run_campaign(const std::vector<CampaignSweep>& sweeps,
   out.stats.planned = plan.size();
   out.stats.unique = unique_scenarios.size();
 
-  // ---- Probe the cache. -----------------------------------------------
+  // ---- Probe the cache, then simulate the misses. ----------------------
   std::unique_ptr<ResultStore> store;
   if (opts.use_cache && !opts.cache_dir.empty()) {
     store = std::make_unique<ResultStore>(opts.cache_dir);
     out.stats.store_skipped = store->skipped_entries();
   }
   std::vector<ExperimentResult> results(unique_scenarios.size());
-  std::vector<std::size_t> misses;
-  for (std::size_t i = 0; i < unique_scenarios.size(); ++i) {
-    bool hit = false;
-    if (store) {
-      if (auto cached = store->get(unique_keys[i])) {
-        results[i] = std::move(*cached);
-        results[i].scenario = unique_scenarios[i];
-        hit = true;
-      }
-    }
-    if (hit) {
-      ++out.stats.cache_hits;
+  // Live counter fed by completing simulations; the progress callback
+  // reads it to report a running events/s (simulated events over elapsed
+  // wall), which tracks throughput even when task sizes are skewed.
+  std::atomic<std::uint64_t> events_done{0};
+  std::mutex profile_mu;
+  Profiler profile_total;
+  std::vector<LpPhase> lp_totals;
+  std::vector<std::uint64_t> lp_scenarios;  // contributing runs per LP
+  const auto simulate_point = [&](std::size_t ui) {
+    ExperimentResult r;
+    if (opts.profile) {
+      Profiler prof;
+      Profiler* prev = Profiler::install(&prof);
+      r = run_experiment(unique_scenarios[ui], eopts);
+      Profiler::install(prev);
+      std::lock_guard<std::mutex> lk(profile_mu);
+      profile_total.absorb(prof);
     } else {
-      misses.push_back(i);
+      r = run_experiment(unique_scenarios[ui], eopts);
     }
-  }
-  if (opts.log) {
+    if (!r.lp_phases.empty()) {
+      std::lock_guard<std::mutex> lk(profile_mu);
+      if (lp_totals.size() < r.lp_phases.size()) {
+        lp_totals.resize(r.lp_phases.size());
+        lp_scenarios.resize(r.lp_phases.size(), 0);
+      }
+      for (std::size_t lp = 0; lp < r.lp_phases.size(); ++lp) {
+        const LpPhase& p = r.lp_phases[lp];
+        lp_totals[lp].lp = p.lp;
+        lp_totals[lp].events += p.events;
+        lp_totals[lp].windows += p.windows;
+        lp_totals[lp].msgs_in += p.msgs_in;
+        lp_totals[lp].msgs_out += p.msgs_out;
+        // High-water marks take the campaign-wide max; overflows sum;
+        // the mean horizon advance accumulates here and is divided by
+        // lp_scenarios once the batch completes.
+        lp_totals[lp].merge_high_water =
+            std::max(lp_totals[lp].merge_high_water, p.merge_high_water);
+        lp_totals[lp].chan_high_water =
+            std::max(lp_totals[lp].chan_high_water, p.chan_high_water);
+        lp_totals[lp].chan_overflows += p.chan_overflows;
+        lp_totals[lp].horizon_advance_mean += p.horizon_advance_mean;
+        lp_totals[lp].run_s += p.run_s;
+        lp_totals[lp].wait_s += p.wait_s;
+        ++lp_scenarios[lp];
+      }
+    }
+    events_done.fetch_add(r.sim_events, std::memory_order_relaxed);
+    return r;
+  };
+  // Log at most ~20 progress lines regardless of batch size, and flush
+  // each one: on a pipe or CI log nothing shows up otherwise.
+  std::size_t stride = 1;
+  const auto on_probe = [&](const FarmCounts& f) {
+    stride = std::max<std::size_t>(1, f.misses.size() / 20);
+    if (!opts.log) return;
     *opts.log << "campaign: " << out.stats.planned << " points, "
-              << out.stats.unique << " unique scenarios, "
-              << out.stats.cache_hits << " cache hits, " << misses.size()
-              << " to simulate" << std::endl;
+              << out.stats.unique << " unique scenarios, " << f.cache_hits
+              << " cache hits, " << f.misses.size() << " to simulate"
+              << std::endl;
+  };
+  const auto progress = [&](const ExecutorProgress& p) {
+    if (p.done % stride != 0 && p.done != p.total) return;
+    const double mev_s =
+        p.elapsed_s > 0.0
+            ? static_cast<double>(events_done.load(std::memory_order_relaxed)) /
+                  p.elapsed_s / 1e6
+            : 0.0;
+    *opts.log << "campaign: " << p.done << "/" << p.total
+              << " simulated, elapsed " << fmt(p.elapsed_s, 1) << " s, ETA "
+              << fmt(p.eta_s, 1) << " s (" << fmt(p.tasks_per_sec, 2)
+              << " runs/s, " << fmt(mev_s, 2) << " M events/s)" << std::endl;
+  };
+  const FarmCounts farm = farm_points(
+      store.get(), unique_keys, opts.threads, simulate_point, &results,
+      on_probe,
+      opts.log ? progress : std::function<void(const ExecutorProgress&)>{});
+  out.stats.cache_hits = farm.cache_hits;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    results[i].scenario = unique_scenarios[i];
   }
-
-  // ---- Simulate the misses. -------------------------------------------
+  const std::vector<std::size_t>& misses = farm.misses;
   if (!misses.empty()) {
-    unsigned threads = opts.threads;
-    if (threads == 0) {
-      threads = static_cast<unsigned>(
-          std::min<std::size_t>(std::max(1u, std::thread::hardware_concurrency()),
-                                misses.size()));
-    }
-    Executor executor(threads);
-    // Live counters fed by completing tasks; the progress callback reads
-    // them to report a running events/s (simulated events over elapsed
-    // wall), which tracks throughput even when task sizes are skewed.
-    std::atomic<std::uint64_t> events_done{0};
-    std::atomic<std::size_t> simulated{0};
-    std::atomic<std::size_t> farmed{0};
-    std::mutex profile_mu;
-    Profiler profile_total;
-    std::vector<LpPhase> lp_totals;
-    std::vector<std::uint64_t> lp_scenarios;  // contributing runs per LP
-    // Log at most ~20 progress lines regardless of batch size, and flush
-    // each one: on a pipe or CI log nothing shows up otherwise.
-    const std::size_t stride = std::max<std::size_t>(1, misses.size() / 20);
-    const auto progress = [&](const ExecutorProgress& p) {
-      if (!opts.log) return;
-      if (p.done % stride != 0 && p.done != p.total) return;
-      const double mev_s =
-          p.elapsed_s > 0.0
-              ? static_cast<double>(
-                    events_done.load(std::memory_order_relaxed)) /
-                    p.elapsed_s / 1e6
-              : 0.0;
-      *opts.log << "campaign: " << p.done << "/" << p.total
-                << " simulated, elapsed " << fmt(p.elapsed_s, 1) << " s, ETA "
-                << fmt(p.eta_s, 1) << " s (" << fmt(p.tasks_per_sec, 2)
-                << " runs/s, " << fmt(mev_s, 2) << " M events/s)"
-                << std::endl;
-    };
-    const auto simulate_point = [&](std::size_t ui) {
-      if (opts.profile) {
-        Profiler prof;
-        Profiler* prev = Profiler::install(&prof);
-        results[ui] = run_experiment(unique_scenarios[ui], eopts);
-        Profiler::install(prev);
-        std::lock_guard<std::mutex> lk(profile_mu);
-        profile_total.absorb(prof);
-      } else {
-        results[ui] = run_experiment(unique_scenarios[ui], eopts);
-      }
-      if (!results[ui].lp_phases.empty()) {
-        std::lock_guard<std::mutex> lk(profile_mu);
-        if (lp_totals.size() < results[ui].lp_phases.size()) {
-          lp_totals.resize(results[ui].lp_phases.size());
-          lp_scenarios.resize(results[ui].lp_phases.size(), 0);
-        }
-        for (std::size_t lp = 0; lp < results[ui].lp_phases.size(); ++lp) {
-          const LpPhase& p = results[ui].lp_phases[lp];
-          lp_totals[lp].lp = p.lp;
-          lp_totals[lp].events += p.events;
-          lp_totals[lp].windows += p.windows;
-          lp_totals[lp].msgs_in += p.msgs_in;
-          lp_totals[lp].msgs_out += p.msgs_out;
-          // High-water marks take the campaign-wide max; overflows sum;
-          // the mean horizon advance accumulates here and is divided by
-          // lp_scenarios once the batch completes.
-          lp_totals[lp].merge_high_water =
-              std::max(lp_totals[lp].merge_high_water, p.merge_high_water);
-          lp_totals[lp].chan_high_water =
-              std::max(lp_totals[lp].chan_high_water, p.chan_high_water);
-          lp_totals[lp].chan_overflows += p.chan_overflows;
-          lp_totals[lp].horizon_advance_mean += p.horizon_advance_mean;
-          lp_totals[lp].run_s += p.run_s;
-          lp_totals[lp].wait_s += p.wait_s;
-          ++lp_scenarios[lp];
-        }
-      }
-      simulated.fetch_add(1, std::memory_order_relaxed);
-    };
-    executor.run(
-        misses.size(),
-        [&](std::size_t i) {
-          const std::size_t ui = misses[i];
-          if (!store) {
-            simulate_point(ui);
-          } else {
-            // Claim protocol: exactly one worker (thread here, process in
-            // the campaign farm) simulates each point; the rest wait for
-            // its published result instead of duplicating the work.
-            for (bool settled = false; !settled;) {
-              switch (store->try_claim(unique_keys[ui])) {
-                case ClaimStatus::kAcquired:
-                  simulate_point(ui);
-                  store->publish(unique_keys[ui], results[ui]);
-                  settled = true;
-                  break;
-                case ClaimStatus::kDone:
-                  if (auto cached = store->get(unique_keys[ui])) {
-                    results[ui] = std::move(*cached);
-                    results[ui].scenario = unique_scenarios[ui];
-                    farmed.fetch_add(1, std::memory_order_relaxed);
-                  } else {
-                    // Entry vanished between claim check and get (should
-                    // not happen — the store never forgets); simulate
-                    // locally rather than hang.
-                    simulate_point(ui);
-                  }
-                  settled = true;
-                  break;
-                case ClaimStatus::kBusy:
-                  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-                  break;
-              }
-            }
-          }
-          events_done.fetch_add(results[ui].sim_events,
-                                std::memory_order_relaxed);
-        },
-        opts.log ? progress : std::function<void(const ExecutorProgress&)>{});
     for (std::size_t ph = 0; ph < kProfilePhases; ++ph) {
       out.stats.phase_seconds[ph] =
           profile_total.seconds(static_cast<ProfilePhase>(ph));
@@ -244,8 +260,8 @@ CampaignOutput run_campaign(const std::vector<CampaignSweep>& sweeps,
       }
     }
     out.stats.lp_phases = std::move(lp_totals);
-    out.stats.simulated = simulated.load();
-    out.stats.farmed_out = farmed.load();
+    out.stats.simulated = farm.simulated;
+    out.stats.farmed_out = farm.farmed_out;
     if (opts.log && out.stats.farmed_out > 0) {
       *opts.log << "campaign: " << out.stats.farmed_out
                 << " points simulated by other workers sharing "

@@ -20,8 +20,11 @@
 #include "src/core/sweep.hpp"
 #include "src/obs/profile.hpp"
 #include "src/run/executor.hpp"
+#include "src/run/scenario_key.hpp"
 
 namespace burst {
+
+class ResultStore;
 
 /// One named sweep: base scenario × configs × client counts, plus the
 /// metric its CSV artifact reports.
@@ -87,10 +90,34 @@ struct CampaignStats {
 };
 
 struct CampaignOutput {
-  /// Per-sweep results, in input order, in sweep_clients's shape.
+  /// Per-sweep results, in input order: one SweepSeries per config.
   std::vector<std::pair<std::string, std::vector<SweepSeries>>> sweeps;
   CampaignStats stats;
 };
+
+/// How farm_points resolved a batch of unique points.
+struct FarmCounts {
+  std::size_t cache_hits = 0;  // served from the store at probe time
+  std::size_t simulated = 0;   // simulated by THIS worker
+  std::size_t farmed_out = 0;  // simulated by a concurrent worker
+  std::vector<std::size_t> misses;  // indices the probe did not serve
+};
+
+/// The one probe -> claim -> simulate -> publish loop behind both
+/// campaign front ends. Fills (*results)[i] for every keys[i]: with a
+/// @p store a hit is read back (its scenario field is the caller's to
+/// restore), and each miss is claimed, simulated by @p simulate(i) on one
+/// of @p threads workers (0 = hardware concurrency, capped at the miss
+/// count) and published, so any number of workers sharing the store's
+/// directory simulate every point exactly once. With a null store every
+/// point is simulated. @p on_probe runs once, after the probe and before
+/// any simulation.
+FarmCounts farm_points(
+    ResultStore* store, const std::vector<ScenarioKey>& keys, unsigned threads,
+    const std::function<ExperimentResult(std::size_t)>& simulate,
+    std::vector<ExperimentResult>* results,
+    const std::function<void(const FarmCounts&)>& on_probe = {},
+    const std::function<void(const ExecutorProgress&)>& progress = {});
 
 /// Plans, runs and (optionally) persists a campaign. Blocking.
 CampaignOutput run_campaign(const std::vector<CampaignSweep>& sweeps,
@@ -101,7 +128,7 @@ CampaignOutput run_campaign(const std::vector<CampaignSweep>& sweeps,
 /// column), so the campaign runs ~half the naive task count.
 std::vector<CampaignSweep> paper_figure_campaign(const Scenario& base);
 
-/// The seed a campaign (and sweep_clients) assigns to one point.
+/// The seed a campaign assigns to one point.
 std::uint64_t campaign_point_seed(const Scenario& base,
                                   const std::string& config_name,
                                   int num_clients);

@@ -83,7 +83,7 @@ ScenarioKey scenario_key(const Scenario& s, const ExperimentOptions& opts = {});
 /// hashes the plain canonical string with versioned topology fields
 /// appended (`topo_v=<kTopoKeyVersion>;topo=<canonical graph>;`), so a
 /// topology-built scenario can never collide with — or be served from the
-/// cache of — the hard-coded dumbbell path unless the caller chose the
+/// cache of — plain run_experiment runs unless the caller chose the
 /// plain key on purpose (see topo_key() in src/topo, which does exactly
 /// that for graphs that are canonically the dumbbell).
 ScenarioKey scenario_key_with_topology(const Scenario& s,

@@ -52,6 +52,11 @@ class SmallFn {
       if constexpr (std::is_trivially_copyable_v<D> &&
                     std::is_trivially_destructible_v<D>) {
         manage_ = nullptr;
+        // move_from copies the whole buffer; give the unused tail a value
+        // so that copy never reads indeterminate bytes.
+        if constexpr (sizeof(D) < kInlineSize) {
+          std::memset(buf_ + sizeof(D), 0, kInlineSize - sizeof(D));
+        }
       } else {
         manage_ = &inline_manage<D>;
       }

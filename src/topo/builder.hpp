@@ -1,9 +1,9 @@
 // TopoNet: builds the live Node/SimplexLink/queue graph described by a
-// TopoSpec. This is the generalized back end of the hard-coded Dumbbell
-// and Tandem classes, which now delegate to it.
+// TopoSpec — the paper dumbbell (make_dumbbell_spec), the parking lot
+// (make_tandem_spec) and every `.topo` file alike.
 //
-// Determinism contract (what makes a TopoNet-built dumbbell bit-identical
-// to the historical hard-coded one):
+// Determinism contract (what keeps a TopoNet-built dumbbell bit-identical
+// to the historical hard-coded one the result pins were taken from):
 //   * Nodes are created in id order 0..total_nodes()-1.
 //   * Link statements expand in declaration order; a group endpoint
 //     expands member-by-member within the statement.
@@ -36,8 +36,7 @@
 
 namespace burst {
 
-/// Trace-site labels used by TopoNet::attach_trace. The Dumbbell wrapper
-/// passes its historical names so trace files stay stable.
+/// Trace-site labels used by TopoNet::attach_trace.
 struct TopoTraceNames {
   const char* queue_site = "queue:measured";
   const char* link_site = "link:measured";
@@ -49,6 +48,14 @@ struct TopoMetricNames {
   const char* queue = "queue.measured";
   const char* link = "link.measured";
 };
+
+/// The paper dumbbell's historical names: every canonical-dumbbell run
+/// uses them, at any LP count, so trace files and metric columns stay
+/// stable.
+inline constexpr TopoTraceNames kDumbbellTraceNames{
+    "queue:gateway", "link:bottleneck", "sink:server"};
+inline constexpr TopoMetricNames kDumbbellMetricNames{"queue.gateway",
+                                                      "link.bottleneck"};
 
 class TopoNet {
  public:
@@ -100,9 +107,6 @@ class TopoNet {
   void register_metrics(MetricsRegistry& registry,
                         const TopoMetricNames& names = {}) const;
 
-  /// The drop-cluster monitor created by attach_trace() (null before).
-  const FlowMonitor* congestion_monitor() const { return monitor_.get(); }
-
   int num_flows() const { return static_cast<int>(senders_.size()); }
 
   Agent& sender(int i) { return *senders_.at(static_cast<std::size_t>(i)); }
@@ -119,8 +123,6 @@ class TopoNet {
   std::vector<double> per_flow_delivered() const;
   RunningStats pooled_delay() const;
   std::uint64_t routing_errors() const;
-
-  const TopoSpec& spec() const { return spec_; }
 
   /// The first LP's per-flow state arena (the only one in a sequential
   /// build); arena_bytes_reserved() totals all shards for the huge-N

@@ -1,17 +1,12 @@
 #include "src/topo/campaign.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 
-#include "src/run/executor.hpp"
+#include "src/run/campaign.hpp"
 #include "src/run/result_store.hpp"
 #include "src/topo/runner.hpp"
 
@@ -252,71 +247,27 @@ std::optional<TopoCampaignOutput> run_topo_campaign(
     store = std::make_unique<ResultStore>(opts.cache_dir);
     out.stats.store_skipped = store->skipped_entries();
   }
-  std::vector<ExperimentResult> results(unique_points.size());
-  std::vector<std::size_t> misses;
-  for (std::size_t u = 0; u < unique_points.size(); ++u) {
-    const ScenarioKey& key = out.points[unique_points[u]].key;
-    if (store) {
-      if (auto cached = store->get(key)) {
-        results[u] = std::move(*cached);
-        results[u].scenario = specs[unique_points[u]].scenario;
-        ++out.stats.cache_hits;
-        continue;
-      }
-    }
-    misses.push_back(u);
-  }
-  if (opts.log) {
+  std::vector<ScenarioKey> keys;
+  keys.reserve(unique_points.size());
+  for (const std::size_t p : unique_points) keys.push_back(out.points[p].key);
+  std::vector<ExperimentResult> results;
+  const auto simulate = [&](std::size_t u) {
+    return run_topo_experiment(specs[unique_points[u]]);
+  };
+  const auto on_probe = [&](const FarmCounts& f) {
+    if (!opts.log) return;
     *opts.log << "campaign " << spec.name << ": " << out.stats.planned
               << " points, " << out.stats.unique << " unique, "
-              << out.stats.cache_hits << " cache hits, " << misses.size()
+              << f.cache_hits << " cache hits, " << f.misses.size()
               << " to simulate" << std::endl;
-  }
-  if (!misses.empty()) {
-    unsigned threads = opts.threads;
-    if (threads == 0) {
-      threads = static_cast<unsigned>(std::min<std::size_t>(
-          std::max(1u, std::thread::hardware_concurrency()), misses.size()));
-    }
-    std::atomic<std::size_t> simulated{0};
-    std::atomic<std::size_t> farmed{0};
-    Executor executor(threads);
-    executor.run(misses.size(), [&](std::size_t i) {
-      const std::size_t u = misses[i];
-      const TopoSpec& ts = specs[unique_points[u]];
-      const ScenarioKey& key = out.points[unique_points[u]].key;
-      if (!store) {
-        results[u] = run_topo_experiment(ts);
-        simulated.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      for (bool settled = false; !settled;) {
-        switch (store->try_claim(key)) {
-          case ClaimStatus::kAcquired:
-            results[u] = run_topo_experiment(ts);
-            simulated.fetch_add(1, std::memory_order_relaxed);
-            store->publish(key, results[u]);
-            settled = true;
-            break;
-          case ClaimStatus::kDone:
-            if (auto cached = store->get(key)) {
-              results[u] = std::move(*cached);
-              results[u].scenario = ts.scenario;
-              farmed.fetch_add(1, std::memory_order_relaxed);
-            } else {
-              results[u] = run_topo_experiment(ts);
-              simulated.fetch_add(1, std::memory_order_relaxed);
-            }
-            settled = true;
-            break;
-          case ClaimStatus::kBusy:
-            std::this_thread::sleep_for(std::chrono::milliseconds(50));
-            break;
-        }
-      }
-    });
-    out.stats.simulated = simulated.load();
-    out.stats.farmed_out = farmed.load();
+  };
+  const FarmCounts farm = farm_points(store.get(), keys, opts.threads,
+                                     simulate, &results, on_probe);
+  out.stats.cache_hits = farm.cache_hits;
+  out.stats.simulated = farm.simulated;
+  out.stats.farmed_out = farm.farmed_out;
+  for (std::size_t u = 0; u < results.size(); ++u) {
+    results[u].scenario = specs[unique_points[u]].scenario;
   }
   for (std::size_t i = 0; i < out.points.size(); ++i) {
     out.points[i].result = results[point_to_unique[i]];

@@ -15,25 +15,19 @@
 namespace burst {
 
 ExperimentResult run_topo_experiment(const TopoSpec& spec,
-                                     const ExperimentOptions& options,
-                                     bool force_generic) {
-  if (!force_generic && is_canonical_dumbbell(spec)) {
-    return run_experiment(spec.scenario, options);
-  }
-
+                                     const ExperimentOptions& options) {
   const Scenario& sc = spec.scenario;
+  // The paper dumbbell keeps its historical trace-site and metric names
+  // whatever the LP count, so lp>1 output is comparable with lp1's.
+  const bool canonical = is_canonical_dumbbell(spec);
+  const TopoTraceNames trace_names =
+      canonical ? kDumbbellTraceNames : TopoTraceNames{};
+  const TopoMetricNames metric_names =
+      canonical ? kDumbbellMetricNames : TopoMetricNames{};
 
-  // The periodic cwnd sampler schedules its own events on the build
-  // Simulator, so it pins the run to the sequential engine. Event tracing
-  // does not: each LP records into a private ring, merged at export
-  // (TraceSink::merge_from). Beyond that the partitioner itself may
-  // decline (no cut, zero lookahead) — either way part.shards is what the
-  // run actually uses.
-  int requested = options.lp_shards;
-  if (!options.trace_clients.empty()) {
-    requested = 1;
-  }
-  const LpPartition part = make_lp_partition(spec, requested);
+  // The partitioner may decline the requested shard count (no cut, zero
+  // lookahead); part.shards is what the run actually uses.
+  const LpPartition part = make_lp_partition(spec, options.lp_shards);
 
   std::unique_ptr<Simulator> seq;
   std::unique_ptr<ParallelRuntime> rt;
@@ -50,14 +44,7 @@ ExperimentResult run_topo_experiment(const TopoSpec& spec,
     // Traced parallel runs also log the per-window runtime timeline for
     // the `.runtime.perfetto` export (cheap: a few stores per window).
     if (rt != nullptr) rt->enable_window_log();
-    // A canonical dumbbell keeps its historical site names so the merged
-    // lp>1 trace is byte-identical to the sequential Dumbbell run's.
-    if (is_canonical_dumbbell(spec)) {
-      net->attach_trace(*options.trace, {"queue:gateway", "link:bottleneck",
-                                         "sink:server"});
-    } else {
-      net->attach_trace(*options.trace);
-    }
+    net->attach_trace(*options.trace, trace_names);
   }
   if (options.flight != nullptr) {
     options.flight->observe_queue(&net->measured_queue());
@@ -70,8 +57,9 @@ ExperimentResult run_topo_experiment(const TopoSpec& spec,
   }
 
   MetricsRegistry registry;
-  Histogram& qlen_hist = registry.histogram(
-      "queue.measured.len_at_arrival", {0, 1, 2, 4, 8, 16, 32, 64, 128});
+  Histogram& qlen_hist =
+      registry.histogram(std::string(metric_names.queue) + ".len_at_arrival",
+                         {0, 1, 2, 4, 8, 16, 32, 64, 128});
   BinnedCounter arrivals(sc.rtt_prop(), sc.warmup);
   Queue& measured = net->measured_queue();
   // The tap runs on whichever LP drives the measured link, so it must
@@ -96,7 +84,10 @@ ExperimentResult run_topo_experiment(const TopoSpec& spec,
       if (TcpSender* s = net->tcp_sender(c)) {
         s->set_cwnd_trace(&result.cwnd_traces[ti]);
         if (options.cwnd_sample_period > 0.0) {
-          Simulator& sim = *seq;  // trace_clients clamp to sequential above
+          // Periodic samples in addition to change-driven ones, so plots
+          // have a regular grid like the paper's 0.1 s x-axis. They run on
+          // the sender's own Simulator (its LP in a sharded build), the
+          // only thread that touches its cwnd and its trace.
           struct Sampler {
             static void arm(Simulator& sim, TcpSender* s, TraceSeries* t,
                             Time period, Time until) {
@@ -107,7 +98,7 @@ ExperimentResult run_topo_experiment(const TopoSpec& spec,
               });
             }
           };
-          Sampler::arm(sim, s, &result.cwnd_traces[ti],
+          Sampler::arm(s->sim(), s, &result.cwnd_traces[ti],
                        options.cwnd_sample_period, sc.duration);
         }
       }
@@ -175,20 +166,16 @@ ExperimentResult run_topo_experiment(const TopoSpec& spec,
   const RunningStats bin_stats = arrivals.stats_until(sc.duration);
   result.cov = bin_stats.cov();
   result.mean_per_bin = bin_stats.mean();
-  // Analytic reference: pool every flow's Poisson rate, as if they were n
-  // identical sources at the average rate (exact when they are).
+  // Analytic reference: the c.o.v. of one Poisson process at the pooled
+  // rate of every flow. For a single flow statement this is the
+  // Scenario formula's n * (1/m) operation for operation.
   {
     double rate_sum = 0.0;
-    int n = 0;
     for (const TopoFlowSpec& f : spec.flows) {
-      const int members = spec.node_count(f.src);
-      rate_sum += static_cast<double>(members) / f.mean_interarrival;
-      n += members;
+      rate_sum += static_cast<double>(spec.node_count(f.src)) *
+                  (1.0 / f.mean_interarrival);
     }
-    if (n > 0) {
-      result.poisson_cov =
-          poisson_aggregate_cov(n, rate_sum / n, sc.rtt_prop());
-    }
+    result.poisson_cov = poisson_aggregate_cov(1, rate_sum, sc.rtt_prop());
   }
 
   result.app_generated = net->total_generated();
@@ -217,7 +204,7 @@ ExperimentResult run_topo_experiment(const TopoSpec& spec,
   result.delay = net->pooled_delay();
   result.routing_errors = net->routing_errors();
 
-  net->register_metrics(registry);
+  net->register_metrics(registry, metric_names);
   registry.add_counter("sched.events", result.sim_events);
   registry.add_counter("sched.peak_pending", result.peak_pending);
   registry.add_counter("sched.scheduled", scheduled);

@@ -1,12 +1,13 @@
-// Runs one TopoSpec end to end and collects the same ExperimentResult the
-// dumbbell pipeline produces, with the spec's measured link standing in
-// for the gateway bottleneck.
+// Runs one TopoSpec end to end and collects the ExperimentResult every
+// front end reports: the paper dumbbell (run_experiment), `.topo` files
+// and `.camp` campaign points all come through here, sequential or
+// sharded across logical processes.
 //
-// Canonical-dumbbell fast path: a spec whose graph IS the paper dumbbell
-// (see is_canonical_dumbbell) delegates to run_experiment() so the result
-// — including metric names and the pinned identity hashes — is
-// bit-identical to the hard-coded path. Everything else runs through the
-// generic TopoNet with "queue.measured"/"link.measured" metric names.
+// The spec's measured link stands in for the gateway bottleneck. A spec
+// that is canonically the paper dumbbell (is_canonical_dumbbell) reports
+// it under the historical "queue.gateway"/"link.bottleneck" metric names
+// and "queue:gateway"/"link:bottleneck"/"sink:server" trace sites; every
+// other graph uses the "measured" names.
 #pragma once
 
 #include "src/core/experiment.hpp"
@@ -14,10 +15,7 @@
 
 namespace burst {
 
-/// @p force_generic skips the canonical-dumbbell delegation (test hook:
-/// the generic path must reproduce the delegated one's dynamics).
 ExperimentResult run_topo_experiment(const TopoSpec& spec,
-                                     const ExperimentOptions& options = {},
-                                     bool force_generic = false);
+                                     const ExperimentOptions& options = {});
 
 }  // namespace burst

@@ -12,7 +12,7 @@
 // A spec whose canonical string equals make_dumbbell_spec(its scenario)'s
 // IS the paper dumbbell, and topo_key() then returns the plain
 // scenario_key() so topology-file runs share cache entries — and pinned
-// identity hashes — with the hard-coded path.
+// identity hashes — with run_experiment.
 #pragma once
 
 #include <string>
@@ -111,7 +111,7 @@ struct TopoSpec {
 Time topo_member_delay(const TopoLinkSpec& l, int j, int count);
 
 /// The paper's Figure 1 dumbbell for @p sc, as a spec. Building this
-/// through TopoNet is bit-identical to the hard-coded Dumbbell class.
+/// through TopoNet reproduces the result-identity pins bit for bit.
 TopoSpec make_dumbbell_spec(const Scenario& sc);
 
 /// @p sc's gateway discipline (DropTail/RED/DRR + its parameters) as an
@@ -128,8 +128,8 @@ TopoSpec make_tandem_spec(const Scenario& sc, double second_hop_ratio);
 bool is_canonical_dumbbell(const TopoSpec& spec);
 
 /// Fingerprint of one topology experiment. Canonical-dumbbell specs get
-/// the plain scenario_key() (bit-for-bit cache compatibility with the
-/// hard-coded path); everything else gets scenario_key_with_topology()
+/// the plain scenario_key() (bit-for-bit cache compatibility with
+/// run_experiment); everything else gets scenario_key_with_topology()
 /// with versioned topo fields appended.
 ScenarioKey topo_key(const TopoSpec& spec, const ExperimentOptions& opts = {});
 

@@ -20,6 +20,9 @@ class Agent : public PacketHandler {
   FlowId flow() const { return flow_; }
   NodeId local() const { return node_.id(); }
   NodeId peer() const { return peer_; }
+  /// The Simulator that executes this agent's events (in a sharded build,
+  /// the LP hosting its node).
+  Simulator& sim() const { return sim_; }
 
   /// Application interface: hands @p packets fixed-size packets to the
   /// transport for (eventual) transmission. Sinks ignore this.

@@ -95,13 +95,23 @@ TEST(Campaign, ThreadCountAndWarmCacheAreBitIdentical) {
   expect_identical_series(a.sweeps[0].second, c.sweeps[0].second);
 }
 
-TEST(Campaign, MatchesSweepClientsExactly) {
-  // The campaign path and the classic sweep_clients path must assign the
-  // same derived seeds and therefore the same numbers.
-  const Scenario base = quick_base();
-  const std::vector<int> ns{6, 12};
-  const auto direct = sweep_clients(base, ns, two_configs());
-  const auto campaign = run_campaign({quick_sweep("match")}, {});
+TEST(Campaign, MatchesDirectRunsExactly) {
+  // Each campaign point is run_experiment on the base with the config
+  // applied and the value-derived seed (config name, client count), so a
+  // hand-built run of the same scenario gives the same numbers.
+  const CampaignSweep sw = quick_sweep("match");
+  std::vector<SweepSeries> direct(sw.configs.size());
+  for (std::size_t c = 0; c < sw.configs.size(); ++c) {
+    direct[c].name = sw.configs[c].name;
+    for (const int n : sw.client_counts) {
+      Scenario sc = sw.base;
+      sc.num_clients = n;
+      sw.configs[c].apply(sc);
+      sc.seed = campaign_point_seed(sw.base, sw.configs[c].name, n);
+      direct[c].points.push_back({n, run_experiment(sc)});
+    }
+  }
+  const auto campaign = run_campaign({sw}, {});
   expect_identical_series(direct, campaign.sweeps[0].second);
 }
 

@@ -1,4 +1,4 @@
-#include "src/core/dumbbell.hpp"
+#include "src/topo/builder.hpp"
 
 #include <gtest/gtest.h>
 
@@ -18,8 +18,8 @@ Scenario small(Transport t = Transport::kReno) {
 
 TEST(Dumbbell, WiresAllClients) {
   Simulator sim(1);
-  Dumbbell net(sim, small());
-  EXPECT_EQ(net.num_clients(), 4);
+  TopoNet net(sim, make_dumbbell_spec(small()));
+  EXPECT_EQ(net.num_flows(), 4);
   for (int i = 0; i < 4; ++i) {
     EXPECT_NE(net.tcp_sender(i), nullptr);
     EXPECT_NE(net.tcp_sink(i), nullptr);
@@ -29,7 +29,7 @@ TEST(Dumbbell, WiresAllClients) {
 
 TEST(Dumbbell, UdpVariantHasUdpAgents) {
   Simulator sim(1);
-  Dumbbell net(sim, small(Transport::kUdp));
+  TopoNet net(sim, make_dumbbell_spec(small(Transport::kUdp)));
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(net.tcp_sender(i), nullptr);
     EXPECT_NE(net.udp_sink(i), nullptr);
@@ -39,7 +39,7 @@ TEST(Dumbbell, UdpVariantHasUdpAgents) {
 TEST(Dumbbell, TransportSelection) {
   Simulator sim(1);
   {
-    Dumbbell net(sim, small(Transport::kVegas));
+    TopoNet net(sim, make_dumbbell_spec(small(Transport::kVegas)));
     EXPECT_NE(dynamic_cast<TcpVegas*>(net.tcp_sender(0)), nullptr);
   }
 }
@@ -47,14 +47,14 @@ TEST(Dumbbell, TransportSelection) {
 TEST(Dumbbell, TrafficFlowsEndToEnd) {
   Simulator sim(1);
   Scenario sc = small();
-  Dumbbell net(sim, sc);
+  TopoNet net(sim, make_dumbbell_spec(sc));
   net.start_sources();
   sim.run(sc.duration);
   EXPECT_GT(net.total_generated(), 100u);
   EXPECT_GT(net.total_delivered(), 100u);
   EXPECT_EQ(net.routing_errors(), 0u);
   // 4 clients cannot congest the 32 Mbps bottleneck: nothing dropped.
-  EXPECT_EQ(net.bottleneck_queue().stats().drops, 0u);
+  EXPECT_EQ(net.measured_queue().stats().drops, 0u);
 }
 
 TEST(Dumbbell, DeliveredNeverExceedsGenerated) {
@@ -62,17 +62,17 @@ TEST(Dumbbell, DeliveredNeverExceedsGenerated) {
   Scenario sc = small();
   sc.num_clients = 45;  // congested
   sc.duration = 3.0;
-  Dumbbell net(sim, sc);
+  TopoNet net(sim, make_dumbbell_spec(sc));
   net.start_sources();
   sim.run(sc.duration);
   EXPECT_LE(net.total_delivered(), net.total_generated());
-  EXPECT_GT(net.bottleneck_queue().stats().drops, 0u);
+  EXPECT_GT(net.measured_queue().stats().drops, 0u);
 }
 
 TEST(Dumbbell, PerFlowDeliveredSumsToTotal) {
   Simulator sim(3);
   Scenario sc = small();
-  Dumbbell net(sim, sc);
+  TopoNet net(sim, make_dumbbell_spec(sc));
   net.start_sources();
   sim.run(sc.duration);
   const auto per_flow = net.per_flow_delivered();
@@ -86,17 +86,17 @@ TEST(Dumbbell, RedScenarioUsesRedQueue) {
   Simulator sim(1);
   Scenario sc = small();
   sc.gateway = GatewayQueue::kRed;
-  Dumbbell net(sim, sc);
+  TopoNet net(sim, make_dumbbell_spec(sc));
   // RedQueue exposes avg(); a DropTailQueue would not dynamic_cast.
-  EXPECT_NE(dynamic_cast<RedQueue*>(&net.bottleneck_queue()), nullptr);
+  EXPECT_NE(dynamic_cast<RedQueue*>(&net.measured_queue()), nullptr);
 }
 
 TEST(Dumbbell, BottleneckLinkParametersFollowScenario) {
   Simulator sim(1);
   Scenario sc = small();
-  Dumbbell net(sim, sc);
-  EXPECT_DOUBLE_EQ(net.bottleneck_link().bandwidth_bps(), sc.bottleneck_bw_bps);
-  EXPECT_DOUBLE_EQ(net.bottleneck_link().prop_delay(), sc.bottleneck_delay);
+  TopoNet net(sim, make_dumbbell_spec(sc));
+  EXPECT_DOUBLE_EQ(net.measured_link().bandwidth_bps(), sc.bottleneck_bw_bps);
+  EXPECT_DOUBLE_EQ(net.measured_link().prop_delay(), sc.bottleneck_delay);
 }
 
 TEST(Dumbbell, AckPathDoesNotCongest) {
@@ -104,11 +104,11 @@ TEST(Dumbbell, AckPathDoesNotCongest) {
   Scenario sc = small();
   sc.num_clients = 50;
   sc.duration = 3.0;
-  Dumbbell net(sim, sc);
+  TopoNet net(sim, make_dumbbell_spec(sc));
   net.start_sources();
   sim.run(sc.duration);
   // All drops happen at the bottleneck: client/reverse queues never drop.
-  std::uint64_t total_gw_drops = net.bottleneck_queue().stats().drops;
+  std::uint64_t total_gw_drops = net.measured_queue().stats().drops;
   EXPECT_GT(total_gw_drops, 0u);
   EXPECT_EQ(net.routing_errors(), 0u);
 }

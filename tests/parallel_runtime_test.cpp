@@ -213,9 +213,9 @@ void append_double(std::ostringstream& os, double v) {
 }
 
 // Canonical rendering of every packet-timing-derived result field (the
-// result_identity_test canon, minus cwnd traces — traced runs clamp to
-// one LP anyway).
-std::string canon(const ExperimentResult& r) {
+// result_identity_test canon, minus cwnd traces and poisson_cov). The
+// lp2 pin hashes exactly this string.
+std::string timing_canon(const ExperimentResult& r) {
   std::ostringstream os;
   append_double(os, r.cov);
   append_double(os, r.mean_per_bin);
@@ -235,6 +235,37 @@ std::string canon(const ExperimentResult& r) {
   return os.str();
 }
 
+// Every field an lpK run must reproduce from lp1: the timing fields plus
+// the analytic poisson_cov (a pure function of the spec).
+std::string canon(const ExperimentResult& r) {
+  std::ostringstream os;
+  os << timing_canon(r);
+  append_double(os, r.poisson_cov);
+  return os.str();
+}
+
+// Metric names outside the parallel.* telemetry that only lp>1 runs add.
+std::vector<std::string> model_metric_names(const ExperimentResult& r) {
+  std::vector<std::string> names;
+  for (const MetricPoint& m : r.metrics.points) {
+    if (m.name.rfind("parallel.", 0) != 0) names.push_back(m.name);
+  }
+  return names;
+}
+
+std::string render_traces(const std::vector<TraceSeries>& traces) {
+  std::ostringstream os;
+  for (const TraceSeries& t : traces) {
+    os << t.name() << ':';
+    for (const auto& [at, value] : t.points()) {
+      append_double(os, at);
+      append_double(os, value);
+    }
+    os << '\n';
+  }
+  return os.str();
+}
+
 Scenario small(int clients, Transport t, GatewayQueue q, std::uint64_t seed) {
   Scenario s = Scenario::paper_default();
   s.num_clients = clients;
@@ -248,7 +279,7 @@ Scenario small(int clients, Transport t, GatewayQueue q, std::uint64_t seed) {
 
 TEST(ParallelEquivalence, MatchesSequentialDumbbell) {
   const Scenario sc = small(12, Transport::kReno, GatewayQueue::kRed, 11);
-  ExperimentOptions lp1;  // sequential reference (hard-coded dumbbell)
+  ExperimentOptions lp1;  // sequential reference
   const ExperimentResult a = run_experiment(sc, lp1);
   for (int shards : {2, 3, 4}) {
     ExperimentOptions opt;
@@ -256,6 +287,9 @@ TEST(ParallelEquivalence, MatchesSequentialDumbbell) {
     const ExperimentResult b = run_experiment(sc, opt);
     EXPECT_EQ(b.lp_shards, shards) << "request was not honored";
     EXPECT_EQ(canon(a), canon(b)) << "lp=" << shards;
+    // The dumbbell's metrics keep their lp1 names (queue.gateway.*,
+    // link.bottleneck.*) at every shard count.
+    EXPECT_EQ(model_metric_names(a), model_metric_names(b)) << "lp=" << shards;
     // The remote delivery event replaces the producer's fused local one
     // 1:1, so the total event count matches the sequential engine
     // exactly — not approximately.
@@ -267,17 +301,42 @@ TEST(ParallelEquivalence, MatchesSequentialDumbbell) {
   }
 }
 
-TEST(ParallelEquivalence, TracedRunsClampToOneLp) {
-  Scenario sc = small(6, Transport::kReno, GatewayQueue::kDropTail, 3);
-  ExperimentOptions opt;
-  opt.lp_shards = 4;
-  opt.trace_clients = {0};
-  opt.cwnd_sample_period = 0.1;
-  const ExperimentResult r = run_experiment(sc, opt);
-  EXPECT_EQ(r.lp_shards, 1);
-  EXPECT_TRUE(r.lp_phases.empty());
-  ASSERT_EQ(r.cwnd_traces.size(), 1u);
-  EXPECT_GT(r.cwnd_traces[0].points().size(), 0u);
+TEST(ParallelEquivalence, PoissonCovIsTheScenarioFormulaAtEveryLp) {
+  // A non-default interarrival, where pooling N/m and dividing by N again
+  // would round differently from the Scenario formula N * (1/m).
+  Scenario sc = small(5, Transport::kReno, GatewayQueue::kDropTail, 5);
+  sc.mean_interarrival = 0.013;
+  for (int shards : {1, 2, 3, 4}) {
+    ExperimentOptions opt;
+    opt.lp_shards = shards;
+    const ExperimentResult r = run_experiment(sc, opt);
+    EXPECT_EQ(r.poisson_cov, 0x1.71355d04de19p-3) << "lp=" << shards;
+    EXPECT_EQ(r.poisson_cov,
+              poisson_aggregate_cov(sc.num_clients, 1.0 / sc.mean_interarrival,
+                                    sc.rtt_prop()))
+        << "lp=" << shards;
+  }
+}
+
+TEST(ParallelEquivalence, CwndSampledRunsShardLikeLp1) {
+  // The periodic cwnd sampler runs on each traced sender's own LP, so a
+  // sampled run shards instead of falling back to one LP, and records the
+  // same samples at the same instants.
+  const Scenario sc = small(12, Transport::kReno, GatewayQueue::kRed, 3);
+  ExperimentOptions lp1;
+  lp1.trace_clients = {0, 5};
+  lp1.cwnd_sample_period = 0.1;
+  const ExperimentResult a = run_experiment(sc, lp1);
+  ExperimentOptions lp4 = lp1;
+  lp4.lp_shards = 4;
+  const ExperimentResult b = run_experiment(sc, lp4);
+  EXPECT_EQ(b.lp_shards, 4);
+  ASSERT_EQ(b.cwnd_traces.size(), 2u);
+  EXPECT_GE(b.cwnd_traces[1].points().size(),
+            static_cast<std::size_t>(sc.duration / 0.1) - 2);
+  EXPECT_EQ(render_traces(a.cwnd_traces), render_traces(b.cwnd_traces));
+  EXPECT_EQ(a.sim_events, b.sim_events);
+  EXPECT_EQ(canon(a), canon(b));
 }
 
 // Run-to-run bit-identity at a fixed shard count, with a pinned hash so
@@ -297,7 +356,7 @@ TEST(ParallelDeterminism, Lp2RunIsBitIdenticalAndPinned) {
   EXPECT_EQ(canon(a), canon(b)) << "lp=2 run is not deterministic";
   char buf[20];
   std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(fnv1a64(canon(a))));
+                static_cast<unsigned long long>(fnv1a64(timing_canon(a))));
   EXPECT_STREQ(buf, "c642f81c921393e7")
       << "lp=2 pinned metrics changed bit-for-bit. If intentional, re-pin "
       << "and document why.";

@@ -18,9 +18,10 @@ Scenario small_scenario() {
 }
 
 void expect_same_run(const ExperimentResult& a, const ExperimentResult& b) {
-  // Bit-identical scalars, including the event count: the two paths must
+  // Bit-identical scalars, including the event count: the two routes must
   // execute the exact same simulation, not a statistically similar one.
   EXPECT_EQ(a.cov, b.cov);
+  EXPECT_EQ(a.poisson_cov, b.poisson_cov);
   EXPECT_EQ(a.app_generated, b.app_generated);
   EXPECT_EQ(a.delivered, b.delivered);
   EXPECT_EQ(a.gw_arrivals, b.gw_arrivals);
@@ -32,41 +33,59 @@ void expect_same_run(const ExperimentResult& a, const ExperimentResult& b) {
   EXPECT_EQ(a.sim_events, b.sim_events);
 }
 
-TEST(TopoBuilder, GenericPathReproducesTheDumbbellBitIdentically) {
-  // The load-bearing equivalence: the generic TopoNet build of
-  // make_dumbbell_spec — generic routing, generic flow wiring, generic
-  // RNG fork discipline — executes the identical event sequence as the
-  // hard-coded experiment path.
-  const Scenario sc = small_scenario();
-  const ExperimentResult direct = run_experiment(sc);
-  const ExperimentResult generic =
-      run_topo_experiment(make_dumbbell_spec(sc), {}, /*force_generic=*/true);
-  expect_same_run(direct, generic);
+// The paper dumbbell written out as a .topo file (the shape of
+// examples/topologies/dumbbell_n60.topo) at small_scenario()'s size.
+constexpr const char* kDumbbellText = R"(
+set clients 10
+set duration 5
+node client count $clients
+node gateway
+node server
+link gateway server rate $bottleneck_bw delay $bottleneck_delay queue gateway
+link server gateway rate $bottleneck_bw delay $bottleneck_delay
+link client gateway rate $client_bw delay $client_delay
+link gateway client rate $client_bw delay $client_delay
+flow client server
+measure gateway server
+)";
+
+TEST(TopoBuilder, ParsedDumbbellRunsBitIdentically) {
+  // The load-bearing equivalence: the dumbbell declared in a .topo file
+  // — parsed, generically routed and wired — executes the identical
+  // event sequence as run_experiment on the same scenario.
+  TopoError err;
+  const auto spec = parse_topo(kDumbbellText, "dumbbell", &err);
+  ASSERT_TRUE(spec.has_value()) << err.render("inline");
+  expect_same_run(run_experiment(small_scenario()), run_topo_experiment(*spec));
 }
 
-TEST(TopoBuilder, GenericPathMatchesForRedAndDelack) {
+TEST(TopoBuilder, ParsedDumbbellMatchesForRedAndDelack) {
   Scenario sc = small_scenario();
   sc.gateway = GatewayQueue::kRed;
   sc.delayed_ack = true;
   sc.transport = Transport::kNewReno;
-  const ExperimentResult direct = run_experiment(sc);
-  const ExperimentResult generic =
-      run_topo_experiment(make_dumbbell_spec(sc), {}, /*force_generic=*/true);
-  expect_same_run(direct, generic);
+  TopoError err;
+  const auto spec =
+      parse_topo(kDumbbellText, "dumbbell", &err,
+                 {{"queue", "red"}, {"delack", "1"}, {"transport", "newreno"}});
+  ASSERT_TRUE(spec.has_value()) << err.render("inline");
+  expect_same_run(run_experiment(sc), run_topo_experiment(*spec));
 }
 
-TEST(TopoBuilder, CanonicalDumbbellDelegatesToTheHardCodedPath) {
+TEST(TopoBuilder, CanonicalDumbbellKeepsItsHistoricalMetricNames) {
   const Scenario sc = small_scenario();
-  const ExperimentResult delegated =
-      run_topo_experiment(make_dumbbell_spec(sc));
-  expect_same_run(run_experiment(sc), delegated);
+  const ExperimentResult dumbbell = run_topo_experiment(make_dumbbell_spec(sc));
+  EXPECT_NE(dumbbell.metrics.find("queue.gateway.drops"), nullptr);
+  EXPECT_NE(dumbbell.metrics.find("link.bottleneck.delivered"), nullptr);
+  EXPECT_EQ(dumbbell.metrics.find("queue.measured.drops"), nullptr);
+  const ExperimentResult lot = run_topo_experiment(make_tandem_spec(sc, 0.9));
+  EXPECT_NE(lot.metrics.find("queue.measured.drops"), nullptr);
+  EXPECT_EQ(lot.metrics.find("queue.gateway.drops"), nullptr);
 }
 
 TEST(TopoBuilder, ParkingLotRunsClean) {
   Scenario sc = small_scenario();
-  const ExperimentResult r =
-      run_topo_experiment(make_tandem_spec(sc, 0.9), {},
-                          /*force_generic=*/true);
+  const ExperimentResult r = run_topo_experiment(make_tandem_spec(sc, 0.9));
   EXPECT_EQ(r.routing_errors, 0u);
   EXPECT_GT(r.delivered, 0u);
   EXPECT_GT(r.cov, 0.0);
@@ -74,7 +93,7 @@ TEST(TopoBuilder, ParkingLotRunsClean) {
 
 TEST(TopoBuilder, MultiGroupGraphRoutesEveryFlow) {
   // Two client groups with different edge delays through two bottlenecks
-  // — a graph neither hard-coded topology can express.
+  // — a graph neither generated topology can express.
   constexpr const char* kText = R"(
 set clients 4
 set duration 5

@@ -4,9 +4,9 @@
 
 #include <cstdio>
 
-#include "src/core/dumbbell.hpp"
 #include "src/net/drop_tail_queue.hpp"
 #include "src/stats/binned_counter.hpp"
+#include "src/topo/builder.hpp"
 
 namespace burst {
 namespace {
@@ -123,8 +123,8 @@ TEST(TraceIntegration, RecordedGatewayTraceReplaysWithSameShape) {
   std::vector<Time> recorded;
   {
     Simulator sim(sc.seed);
-    Dumbbell net(sim, sc);
-    ArrivalTraceRecorder rec(net.bottleneck_queue());
+    TopoNet net(sim, make_dumbbell_spec(sc));
+    ArrivalTraceRecorder rec(net.measured_queue());
     net.start_sources();
     sim.run(sc.duration);
     recorded = rec.times();
@@ -142,9 +142,9 @@ TEST(TraceIntegration, RecordedGatewayTraceReplaysWithSameShape) {
   replay_sc.bottleneck_bw_bps = 1e9;  // no shaping on replay
   replay_sc.client_bw_bps = 1e9;
   Simulator sim(99);
-  Dumbbell net(sim, replay_sc);
+  TopoNet net(sim, make_dumbbell_spec(replay_sc));
   BinnedCounter replayed(sc.rtt_prop(), sc.warmup);
-  net.bottleneck_queue().taps().add_arrival_listener(
+  net.measured_queue().taps().add_arrival_listener(
       [&](const Packet& p, Time now) {
         if (p.type == PacketType::kData) replayed.record(now);
       });
