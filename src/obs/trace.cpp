@@ -2,7 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <condition_variable>
+#include <exception>
+#include <functional>
+#include <mutex>
 #include <ostream>
+#include <system_error>
+#include <thread>
 
 #include "src/obs/json_fmt.hpp"
 
@@ -40,9 +46,135 @@ bool before_in_key(const TraceRecord& a, const TraceRecord& b) {
   return a.tie < b.tie;
 }
 
+/// Calls @p fn on @p live and @p late (each in time order) merged the way
+/// ordered() merges them: an aggregate follows the live records of its
+/// instant, since it was emitted after all of them.
+template <typename Fn>
+void merge_by_time(std::span<const TraceRecord> live,
+                   std::span<const TraceRecord> late, Fn&& fn) {
+  auto agg = late.begin();
+  for (const TraceRecord& r : live) {
+    for (; agg != late.end() && agg->time < r.time; ++agg) fn(*agg);
+    fn(r);
+  }
+  for (; agg != late.end(); ++agg) fn(*agg);
+}
+
+/// Writes blocks 0..@p blocks-1 to @p os in order, each formatted by
+/// @p format(b, out) into an empty string. Up to @p workers threads format
+/// ahead, claiming blocks in order; block b goes through slot b % slots,
+/// which it may fill only once the calling thread has written block
+/// b - slots, so at most slots + workers block texts exist at once. The
+/// calling thread writes each block as soon as its slot holds it. Returns
+/// false, after joining every worker, if the stream fails; a worker's
+/// exception is rethrown here.
+bool write_in_order(
+    std::ostream& os, std::size_t blocks, unsigned workers,
+    const std::function<void(std::size_t, std::string&)>& format) {
+  // A worker formats into its own string and swaps it into an aligned
+  // slot: string headers sharing a cache line made 4 workers no faster
+  // than 1.
+  struct alignas(64) Slot {
+    std::string text;
+    bool full = false;  // holds block `written` (no other block maps here)
+  };
+  const std::size_t threads =
+      std::min<std::size_t>(std::max(workers, 1u), blocks);
+  std::vector<Slot> slots(threads);
+
+  std::mutex mu;  // guards every field below and the slots
+  std::condition_variable filled, freed;
+  std::size_t next = 0;     // next block to claim
+  std::size_t written = 0;  // blocks the calling thread has written
+  bool stop = false;
+  std::exception_ptr error;
+
+  const auto work = [&] {
+    std::string local;
+    for (;;) {
+      std::size_t b;
+      {
+        const std::lock_guard lk(mu);
+        if (stop || next == blocks) return;
+        b = next++;
+      }
+      local.clear();
+      try {
+        format(b, local);
+      } catch (...) {
+        const std::lock_guard lk(mu);
+        if (!error) error = std::current_exception();
+        stop = true;
+        filled.notify_all();
+        freed.notify_all();
+        return;
+      }
+      std::unique_lock lk(mu);
+      freed.wait(lk, [&] { return stop || b < written + slots.size(); });
+      if (stop) return;
+      Slot& s = slots[b % slots.size()];
+      s.text.swap(local);
+      s.full = true;
+      filled.notify_all();
+    }
+  };
+
+  std::vector<std::thread> pool;
+  const auto stop_and_join = [&] {
+    {
+      const std::lock_guard lk(mu);
+      stop = true;
+    }
+    freed.notify_all();
+    for (std::thread& t : pool) t.join();
+  };
+  bool ok = true;
+  try {
+    pool.reserve(threads);
+    try {
+      for (std::size_t i = 0; i < threads; ++i) pool.emplace_back(work);
+    } catch (const std::system_error&) {
+      // Fewer threads than asked for still finish the export; none cannot.
+      if (pool.empty()) throw;
+    }
+    for (std::size_t b = 0; b < blocks && ok; ++b) {
+      Slot& s = slots[b % slots.size()];
+      {
+        std::unique_lock lk(mu);
+        filled.wait(lk, [&] { return error || s.full; });
+        if (error) break;
+      }
+      // The slot stays this block's until `written` moves past it.
+      os.write(s.text.data(), static_cast<std::streamsize>(s.text.size()));
+      ok = static_cast<bool>(os);
+      {
+        const std::lock_guard lk(mu);
+        s.full = false;
+        ++written;
+      }
+      freed.notify_all();
+    }
+  } catch (...) {
+    stop_and_join();
+    throw;
+  }
+  stop_and_join();
+  if (error) std::rethrow_exception(error);
+  return ok;
+}
+
+/// Live records per export block: large enough that claiming a block costs
+/// nothing next to formatting it, small enough that a block's text stays a
+/// few hundred kB.
+constexpr std::size_t kBlockRecords = 2048;
+
+/// Threads formatting an export: the writer is bound by formatting, and
+/// four workers keep the calling thread's writes fed.
+unsigned export_workers() {
+  return std::clamp(std::thread::hardware_concurrency(), 1u, 4u);
+}
+
 constexpr double kMicrosPerSec = 1e6;
-/// Exports build their text in chunks of about this size, then write.
-constexpr std::size_t kWriteChunk = std::size_t{1} << 20;
 
 }  // namespace
 
@@ -108,8 +240,19 @@ std::span<const TraceRecord> TraceSink::Ring::sorted(
   return scratch;
 }
 
-template <typename Fn>
-void TraceSink::for_each_ordered(Fn&& fn) const {
+std::vector<TraceRecord> TraceSink::ordered() const {
+  std::vector<TraceRecord> live_scratch, late_scratch;
+  std::vector<TraceRecord> out;
+  out.reserve(size());
+  merge_by_time(live_.sorted(live_scratch, before_in_time),
+                late_.sorted(late_scratch, before_in_time),
+                [&out](const TraceRecord& r) { out.push_back(r); });
+  return out;
+}
+
+bool TraceSink::write_ordered(std::ostream& os, std::string_view head,
+                              const RecordFormat& format,
+                              std::string_view tail, unsigned workers) const {
   // Live records are emitted in execution order, which is time order, so
   // the stable sort on time behind sorted() runs only if a check finds
   // one out of place; it keeps same-instant records in emission order
@@ -119,21 +262,37 @@ void TraceSink::for_each_ordered(Fn&& fn) const {
       live_.sorted(live_scratch, before_in_time);
   const std::span<const TraceRecord> late =
       late_.sorted(late_scratch, before_in_time);
-  // An aggregate follows the live records of its instant: it was emitted
-  // after all of them.
-  auto agg = late.begin();
-  for (const TraceRecord& r : live) {
-    for (; agg != late.end() && agg->time < r.time; ++agg) fn(*agg);
-    fn(r);
-  }
-  for (; agg != late.end(); ++agg) fn(*agg);
-}
-
-std::vector<TraceRecord> TraceSink::ordered() const {
-  std::vector<TraceRecord> out;
-  out.reserve(size());
-  for_each_ordered([&out](const TraceRecord& r) { out.push_back(r); });
-  return out;
+  // Block b holds live[b·kBlockRecords, (b+1)·kBlockRecords) and the
+  // aggregates ordered() places among them: those at or after the time of
+  // the live record before the block (an aggregate follows every live
+  // record of its instant), up to the next block's first. Each block's
+  // merge therefore emits exactly its slice of ordered(), and the blocks
+  // concatenate to the whole.
+  const std::size_t blocks = std::max<std::size_t>(
+      1, (live.size() + kBlockRecords - 1) / kBlockRecords);
+  const auto late_begin = [&](std::size_t b) -> std::size_t {
+    if (b == 0) return 0;
+    if (b == blocks) return late.size();
+    const Time edge = live[b * kBlockRecords - 1].time;
+    return static_cast<std::size_t>(
+        std::lower_bound(late.begin(), late.end(), edge,
+                         [](const TraceRecord& r, Time t) {
+                           return r.time < t;
+                         }) -
+        late.begin());
+  };
+  os.write(head.data(), static_cast<std::streamsize>(head.size()));
+  const bool ok = write_in_order(
+      os, blocks, workers, [&](std::size_t b, std::string& out) {
+        const std::size_t first = std::min(b * kBlockRecords, live.size());
+        const std::size_t agg = late_begin(b);
+        merge_by_time(
+            live.subspan(first, std::min(kBlockRecords, live.size() - first)),
+            late.subspan(agg, late_begin(b + 1) - agg),
+            [&](const TraceRecord& r) { format(r, out); });
+      });
+  os.write(tail.data(), static_cast<std::streamsize>(tail.size()));
+  return ok && static_cast<bool>(os);
 }
 
 void TraceSink::merge_from(const std::vector<const TraceSink*>& parts) {
@@ -207,38 +366,34 @@ void TraceSink::merge_from(const std::vector<const TraceSink*>& parts) {
 bool TraceSink::write_jsonl(std::ostream& os) const {
   const std::vector<std::string> sites = escaped_all(sites_);
   const std::vector<std::string> states = escaped_all(states_);
-  std::string out;
-  for_each_ordered([&](const TraceRecord& r) {
-    out += "{\"t\":";
-    append_double(out, r.time);
-    out += ",\"type\":\"";
-    out += to_string(r.type);
-    out += "\",\"site\":\"";
-    out += sites[r.site < sites.size() ? r.site : 0];
-    out += "\",\"flow\":";
-    append_i64(out, r.flow);
-    out += ",\"seq\":";
-    append_i64(out, r.seq);
-    out += ",\"value\":";
-    append_double(out, r.value);
-    out += ",\"aux\":";
-    append_double(out, r.aux);
-    out += ",\"detail\":";
-    append_i64(out, r.detail);
-    if (r.type == TraceEventType::kCcStateChange &&
-        r.detail < states.size()) {
-      out += ",\"state\":\"";
-      out += states[r.detail];
-      out += '"';
-    }
-    out += "}\n";
-    if (out.size() >= kWriteChunk) {
-      os << out;
-      out.clear();
-    }
-  });
-  os << out;
-  return static_cast<bool>(os);
+  return write_ordered(
+      os, {},
+      [&](const TraceRecord& r, std::string& out) {
+        out += "{\"t\":";
+        append_double(out, r.time);
+        out += ",\"type\":\"";
+        out += to_string(r.type);
+        out += "\",\"site\":\"";
+        out += sites[r.site < sites.size() ? r.site : 0];
+        out += "\",\"flow\":";
+        append_i64(out, r.flow);
+        out += ",\"seq\":";
+        append_i64(out, r.seq);
+        out += ",\"value\":";
+        append_double(out, r.value);
+        out += ",\"aux\":";
+        append_double(out, r.aux);
+        out += ",\"detail\":";
+        append_i64(out, r.detail);
+        if (r.type == TraceEventType::kCcStateChange &&
+            r.detail < states.size()) {
+          out += ",\"state\":\"";
+          out += states[r.detail];
+          out += '"';
+        }
+        out += "}\n";
+      },
+      {}, export_workers());
 }
 
 bool TraceSink::write_chrome_trace(std::ostream& os) const {
@@ -261,21 +416,20 @@ bool TraceSink::write_chrome_trace(std::ostream& os) const {
     }
   }
 
-  std::string out;
-  out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+  std::string head = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   bool first = true;
   auto meta = [&](const char* kind, int pid, int tid, std::string_view name) {
-    if (!first) out += ",\n";
+    if (!first) head += ",\n";
     first = false;
-    out += "{\"name\":\"";
-    out += kind;
-    out += "\",\"ph\":\"M\",\"pid\":";
-    append_i64(out, pid);
-    out += ",\"tid\":";
-    append_i64(out, tid);
-    out += ",\"args\":{\"name\":\"";
-    append_escaped(out, name);
-    out += "\"}}";
+    head += "{\"name\":\"";
+    head += kind;
+    head += "\",\"ph\":\"M\",\"pid\":";
+    append_i64(head, pid);
+    head += ",\"tid\":";
+    append_i64(head, tid);
+    head += ",\"args\":{\"name\":\"";
+    append_escaped(head, name);
+    head += "\"}}";
   };
   meta("process_name", kNetPid, 0, "network");
   for (std::size_t i = 0; i < sites_.size(); ++i) {
@@ -288,12 +442,11 @@ bool TraceSink::write_chrome_trace(std::ostream& os) const {
     meta("thread_name", kFlowPidBase + static_cast<int>(f), 0, "events");
   }
 
-  // @p name is JSON string content, already escaped.
-  auto header = [&](std::string_view name, char ph, int pid, int tid,
-                    Time t) {
-    if (!first) out += ",\n";
-    first = false;
-    out += "{\"name\":\"";
+  // Every event row follows at least the "network" metadata row. @p name
+  // is JSON string content, already escaped.
+  auto header = [](std::string& out, std::string_view name, char ph, int pid,
+                   int tid, Time t) {
+    out += ",\n{\"name\":\"";
     out += name;
     out += "\",\"ph\":\"";
     out.push_back(ph);
@@ -304,31 +457,32 @@ bool TraceSink::write_chrome_trace(std::ostream& os) const {
     out += ",\"tid\":";
     append_i64(out, tid);
   };
-  auto counter1 = [&](std::string_view name, int pid, Time t,
+  auto counter1 = [&](std::string& out, std::string_view name, int pid, Time t,
                       std::string_view series, double v) {
-    header(name, 'C', pid, 0, t);
+    header(out, name, 'C', pid, 0, t);
     out += ",\"args\":{\"";
-    append_escaped(out, series);
+    out += series;
     out += "\":";
     append_double(out, v);
     out += "}}";
   };
-  auto instant_begin = [&](std::string_view name, int pid, int tid, Time t) {
-    header(name, 'i', pid, tid, t);
+  auto instant_begin = [&](std::string& out, std::string_view name, int pid,
+                           int tid, Time t) {
+    header(out, name, 'i', pid, tid, t);
     out += ",\"s\":\"t\",\"args\":{";
   };
 
-  for_each_ordered([&](const TraceRecord& r) {
+  const auto format = [&](const TraceRecord& r, std::string& out) {
     const int site_tid = r.site < sites_.size() ? r.site : 0;
     const int flow_pid = kFlowPidBase + (r.flow >= 0 ? r.flow : 0);
     switch (r.type) {
       case TraceEventType::kQueueEnqueue:
       case TraceEventType::kQueueDequeue:
-        counter1(qlen_names[static_cast<std::size_t>(site_tid)], kNetPid,
+        counter1(out, qlen_names[static_cast<std::size_t>(site_tid)], kNetPid,
                  r.time, "packets", r.value);
         break;
       case TraceEventType::kQueueDrop:
-        instant_begin("drop", kNetPid, site_tid, r.time);
+        instant_begin(out, "drop", kNetPid, site_tid, r.time);
         out += "\"flow\":";
         append_i64(out, r.flow);
         out += ",\"seq\":";
@@ -342,7 +496,7 @@ bool TraceSink::write_chrome_trace(std::ostream& os) const {
         out += "\"}}";
         break;
       case TraceEventType::kLinkDeliver:
-        instant_begin("deliver", kNetPid, site_tid, r.time);
+        instant_begin(out, "deliver", kNetPid, site_tid, r.time);
         out += "\"flow\":";
         append_i64(out, r.flow);
         out += ",\"seq\":";
@@ -350,13 +504,13 @@ bool TraceSink::write_chrome_trace(std::ostream& os) const {
         out += "}}";
         break;
       case TraceEventType::kSourceEmit:
-        instant_begin("app_emit", flow_pid, 0, r.time);
+        instant_begin(out, "app_emit", flow_pid, 0, r.time);
         out += "\"n\":";
         append_i64(out, r.seq);
         out += "}}";
         break;
       case TraceEventType::kSinkAck:
-        instant_begin("ack", flow_pid, 0, r.time);
+        instant_begin(out, "ack", flow_pid, 0, r.time);
         out += "\"ack\":";
         append_i64(out, r.seq);
         out += ",\"ooo\":";
@@ -364,16 +518,17 @@ bool TraceSink::write_chrome_trace(std::ostream& os) const {
         out += "}}";
         break;
       case TraceEventType::kCwndChange:
-        counter1("cwnd", flow_pid, r.time, "cwnd", r.value);
+        counter1(out, "cwnd", flow_pid, r.time, "cwnd", r.value);
         break;
       case TraceEventType::kSsthreshChange:
-        counter1("ssthresh", flow_pid, r.time, "ssthresh", r.value);
+        counter1(out, "ssthresh", flow_pid, r.time, "ssthresh", r.value);
         break;
       case TraceEventType::kVegasDiff:
-        counter1("vegas_diff", flow_pid, r.time, "diff", r.value);
+        counter1(out, "vegas_diff", flow_pid, r.time, "diff", r.value);
         break;
       case TraceEventType::kCcStateChange:
         instant_begin(
+            out,
             r.detail < state_names.size() ? state_names[r.detail] : "state: ?",
             flow_pid, 0, r.time);
         out += "\"cwnd\":";
@@ -382,7 +537,8 @@ bool TraceSink::write_chrome_trace(std::ostream& os) const {
         break;
       case TraceEventType::kFastRetransmit:
       case TraceEventType::kRto:
-        instant_begin(r.type == TraceEventType::kRto ? "rto"
+        instant_begin(out,
+                      r.type == TraceEventType::kRto ? "rto"
                                                      : "fast_retransmit",
                       flow_pid, 0, r.time);
         out += "\"seq\":";
@@ -392,7 +548,7 @@ bool TraceSink::write_chrome_trace(std::ostream& os) const {
         out += "}}";
         break;
       case TraceEventType::kCongestionEvent:
-        instant_begin("congestion_event", kNetPid, site_tid, r.time);
+        instant_begin(out, "congestion_event", kNetPid, site_tid, r.time);
         out += "\"flows_hit\":";
         append_double(out, r.value);
         out += ",\"duration\":";
@@ -402,14 +558,8 @@ bool TraceSink::write_chrome_trace(std::ostream& os) const {
         out += "}}";
         break;
     }
-    if (out.size() >= kWriteChunk) {
-      os << out;
-      out.clear();
-    }
-  });
-  out += "\n]}\n";
-  os << out;
-  return static_cast<bool>(os);
+  };
+  return write_ordered(os, head, format, "\n]}\n", export_workers());
 }
 
 }  // namespace burst

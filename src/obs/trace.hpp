@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <span>
 #include <string>
@@ -174,6 +175,8 @@ class TraceSink {
   void merge_from(const std::vector<const TraceSink*>& parts);
 
   /// One JSON object per line; schema in scripts/trace_event.schema.json.
+  /// Both exports format on up to four worker threads and write to @p os
+  /// from the calling thread only; false if the stream failed.
   bool write_jsonl(std::ostream& os) const;
 
   /// Chrome trace-event JSON ("ph":"i" instants, "ph":"C" counters, ts in
@@ -222,10 +225,21 @@ class TraceSink {
     std::size_t head_ = 0;
   };
 
-  /// Calls @p fn on every held record in ordered() order, without a copy
-  /// when the rings are already in order (a merged sink's always are).
-  template <typename Fn>
-  void for_each_ordered(Fn&& fn) const;
+  /// Appends one record's export text to a block's string.
+  using RecordFormat = std::function<void(const TraceRecord&, std::string&)>;
+
+  /// Writes @p head, every held record in ordered() order through
+  /// @p format, then @p tail. The records are cut into blocks that up to
+  /// @p workers threads format while the calling thread writes them in
+  /// order (DESIGN.md §9.1), so @p format must be safe to call
+  /// concurrently. Reads the rings in place when they are in order (a
+  /// merged sink's always are). False if the stream failed.
+  bool write_ordered(std::ostream& os, std::string_view head,
+                     const RecordFormat& format, std::string_view tail,
+                     unsigned workers) const;
+
+  /// Drives write_ordered with a chosen worker count in tests.
+  friend struct TraceSinkTestPeer;
 
   Ring live_;
   Ring late_;

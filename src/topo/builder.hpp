@@ -96,12 +96,6 @@ class TopoNet {
   /// at most once, after the run completes.
   void finalize_trace();
 
-  /// The per-LP trace rings of a sharded traced build (empty otherwise);
-  /// exposed for the runner's telemetry counters.
-  const std::vector<std::unique_ptr<TraceSink>>& lp_trace_sinks() const {
-    return lp_trace_sinks_;
-  }
-
   /// Registers measured-queue/link counters (under @p names) plus the
   /// aggregate tcp.* / sink.* counters. Values are captured at the call.
   void register_metrics(MetricsRegistry& registry,

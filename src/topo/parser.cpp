@@ -109,23 +109,26 @@ bool parse_rate_value(const std::string& s, double* out) {
 }
 
 /// Current numeric value of a Scenario field, for `$field` references.
+/// Capacity-side fields read as make_dumbbell_spec builds them, after
+/// mean-field scaling (the raw value, same bits, when meanfield_base is 0),
+/// so a `.topo` dumbbell stays the canonical one at any N.
 bool scenario_field_value(const Scenario& sc, const std::string& name,
                           double* out) {
   if (name == "clients") *out = sc.num_clients;
   else if (name == "client_bw") *out = sc.client_bw_bps;
-  else if (name == "bottleneck_bw") *out = sc.bottleneck_bw_bps;
+  else if (name == "bottleneck_bw") *out = sc.scaled_bottleneck_bw_bps();
   else if (name == "client_delay") *out = sc.client_delay;
   else if (name == "bottleneck_delay") *out = sc.bottleneck_delay;
   else if (name == "client_delay_spread") *out = sc.client_delay_spread;
   else if (name == "advertised_window") *out = sc.advertised_window;
-  else if (name == "gateway_buffer") *out = static_cast<double>(sc.gateway_buffer);
+  else if (name == "gateway_buffer") *out = static_cast<double>(sc.scaled_gateway_buffer());
   else if (name == "client_queue_buffer") *out = static_cast<double>(sc.client_queue_buffer);
   else if (name == "payload_bytes") *out = sc.payload_bytes;
   else if (name == "mean_interarrival") *out = sc.mean_interarrival;
   else if (name == "duration") *out = sc.duration;
   else if (name == "warmup") *out = sc.warmup;
-  else if (name == "red_min") *out = sc.red_min_th;
-  else if (name == "red_max") *out = sc.red_max_th;
+  else if (name == "red_min") *out = sc.scaled_red_min_th();
+  else if (name == "red_max") *out = sc.scaled_red_max_th();
   else if (name == "red_maxp") *out = sc.red_max_p;
   else if (name == "red_weight") *out = sc.red_weight;
   else if (name == "seed") *out = static_cast<double>(sc.seed);

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdio>
 #include <memory>
+#include <random>
 #include <sstream>
+#include <stdexcept>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -12,9 +17,19 @@
 #include "src/net/drop_tail_queue.hpp"
 #include "src/net/link.hpp"
 #include "src/run/result_store.hpp"
+#include "src/run/scenario_key.hpp"
 #include "src/sim/simulator.hpp"
 
 namespace burst {
+
+/// Runs the sink's block writer with a chosen worker count.
+struct TraceSinkTestPeer {
+  static bool write(const TraceSink& sink, std::ostream& os,
+                    const TraceSink::RecordFormat& format, unsigned workers) {
+    return sink.write_ordered(os, "[", format, "]\n", workers);
+  }
+};
+
 namespace {
 
 Packet data(FlowId flow, std::int64_t seq, int bytes = 1000) {
@@ -201,6 +216,171 @@ TEST(TraceExport, ChromeTraceStructure) {
   EXPECT_NE(out.find("\"name\":\"deliver\",\"ph\":\"i\""), std::string::npos);
   // ts is in microseconds: delivery at 1.5 s -> 1500000.
   EXPECT_NE(out.find("\"ts\":1500000"), std::string::npos);
+}
+
+// printf's rendering of one JSONL line: the contract write_jsonl keeps.
+void printf_jsonl(const TraceSink& sink, const TraceRecord& r,
+                  std::string& out) {
+  char buf[512];
+  const int n = std::snprintf(
+      buf, sizeof(buf),
+      "{\"t\":%.17g,\"type\":\"%s\",\"site\":\"%s\",\"flow\":%d,"
+      "\"seq\":%lld,\"value\":%.17g,\"aux\":%.17g,\"detail\":%d",
+      r.time, std::string(to_string(r.type)).c_str(),
+      sink.sites()[r.site].c_str(), r.flow, static_cast<long long>(r.seq),
+      r.value, r.aux, static_cast<int>(r.detail));
+  out.append(buf, static_cast<std::size_t>(n));
+  if (r.type == TraceEventType::kCcStateChange) {
+    out += ",\"state\":\"" + sink.states()[r.detail] + '"';
+  }
+  out += "}\n";
+}
+
+constexpr std::size_t kEdgeCapacity = 20000;  // ten export blocks of 2048
+constexpr int kEdgeEmitted = 25000;           // so the live ring wraps
+
+Time edge_time(int i) { return (i / 3) * 0.0123; }  // three per instant
+
+// A wrapped live ring holding ten blocks of records of every live type,
+// three per instant so block edges fall inside same-instant runs, and
+// late aggregates stamped at the instants on both sides of every block
+// edge, before the first held record and after the last.
+TraceSink block_edge_sink() {
+  TraceSink sink(kEdgeCapacity);
+  const std::uint8_t site = sink.register_site("queue:gateway");
+  const std::uint16_t state = sink.intern_state("slow-start");
+  std::mt19937_64 rng(9);
+  std::uniform_real_distribution<double> frac(0.0, 64.0);
+  for (int i = 0; i < kEdgeEmitted; ++i) {
+    TraceRecord r;
+    r.time = edge_time(i);
+    r.type = static_cast<TraceEventType>(
+        i % static_cast<int>(TraceEventType::kCongestionEvent));
+    r.site = site;
+    r.flow = i % 7 - 1;
+    r.seq = i;
+    r.value = i % 4 == 0   ? 0.0
+              : i % 4 == 1 ? static_cast<double>(i)
+                           : frac(rng);
+    r.aux = -frac(rng);
+    if (r.type == TraceEventType::kCcStateChange) r.detail = state;
+    sink.emit(r);
+  }
+  const int first_held = kEdgeEmitted - static_cast<int>(kEdgeCapacity);
+  std::vector<Time> instants = {0.0, edge_time(kEdgeEmitted) + 1.0};
+  for (int b = 2048; b < static_cast<int>(kEdgeCapacity); b += 2048) {
+    instants.push_back(edge_time(first_held + b - 1));
+    instants.push_back(edge_time(first_held + b));
+  }
+  for (const Time t : instants) {
+    TraceRecord a = record(TraceEventType::kCongestionEvent, t, 3.0);
+    a.aux = 0.3;
+    a.seq = 7;
+    sink.emit_aggregate(a);
+  }
+  return sink;
+}
+
+std::string printf_rendering(const TraceSink& sink) {
+  std::string out;
+  for (const TraceRecord& r : sink.ordered()) printf_jsonl(sink, r, out);
+  return out;
+}
+
+// Blocks cut the ordered records, and aggregates at a block's edge
+// instants must land where ordered() puts them, across a wrapped ring.
+TEST(TraceExport, JsonlAcrossBlockEdgesMatchesPrintfRendering) {
+  const TraceSink sink = block_edge_sink();
+  ASSERT_EQ(sink.dropped(), static_cast<std::uint64_t>(kEdgeEmitted) -
+                                kEdgeCapacity);
+  ASSERT_EQ(sink.size(), kEdgeCapacity + 20);
+  std::ostringstream os;
+  ASSERT_TRUE(sink.write_jsonl(os));
+  EXPECT_EQ(os.str(), printf_rendering(sink));
+}
+
+TEST(TraceExport, WorkerCountDoesNotChangeTheBytes) {
+  const TraceSink sink = block_edge_sink();
+  const auto format = [&](const TraceRecord& r, std::string& out) {
+    printf_jsonl(sink, r, out);
+  };
+  std::ostringstream one, four;
+  ASSERT_TRUE(TraceSinkTestPeer::write(sink, one, format, 1));
+  ASSERT_TRUE(TraceSinkTestPeer::write(sink, four, format, 4));
+  EXPECT_EQ(one.str(), "[" + printf_rendering(sink) + "]\n");
+  EXPECT_EQ(four.str(), one.str());
+}
+
+/// Takes @p limit bytes, then fails every write.
+class FailingBuf : public std::streambuf {
+ public:
+  explicit FailingBuf(std::streamsize limit) : left_(limit) {}
+
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    const std::streamsize took = std::min(n, left_);
+    left_ -= took;
+    return took;
+  }
+  int_type overflow(int_type c) override {
+    if (left_ == 0) return traits_type::eof();
+    --left_;
+    return c;
+  }
+
+ private:
+  std::streamsize left_;
+};
+
+// A stream that fails mid-export ends it: false, with every worker joined
+// (a worker left running would hang or crash the test). A worker that
+// throws hands its exception to the caller the same way.
+TEST(TraceExport, FailedStreamOrThrowingFormatEndsTheExport) {
+  const TraceSink sink = block_edge_sink();
+  {
+    FailingBuf buf(100000);
+    std::ostream os(&buf);
+    EXPECT_FALSE(sink.write_jsonl(os));
+  }
+  {
+    FailingBuf buf(100000);
+    std::ostream os(&buf);
+    EXPECT_FALSE(sink.write_chrome_trace(os));
+  }
+  for (const unsigned workers : {1u, 4u}) {
+    std::atomic<std::size_t> calls{0};
+    const auto throwing = [&](const TraceRecord&, std::string&) {
+      if (++calls == 5000) throw std::runtime_error("format failed");
+    };
+    std::ostringstream os;
+    EXPECT_THROW(TraceSinkTestPeer::write(sink, os, throwing, workers),
+                 std::runtime_error);
+  }
+}
+
+// The exports of a fixed traced run, pinned to the bytes the serial
+// to_chars exporter wrote before the block writer and the integer fast
+// path (FNV-1a 64 of each file).
+TEST(TraceExport, PinnedRunExportHashes) {
+  Scenario sc = Scenario::paper_default();
+  sc.num_clients = 30;
+  sc.duration = 3.0;
+  sc.gateway = GatewayQueue::kRed;
+  TraceSink sink;
+  ExperimentOptions opts;
+  opts.trace = &sink;
+  run_experiment(sc, opts);
+  std::ostringstream jsonl, chrome;
+  ASSERT_TRUE(sink.write_jsonl(jsonl));
+  ASSERT_TRUE(sink.write_chrome_trace(chrome));
+  const auto hex = [](const std::string& s) {
+    char buf[20];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(fnv1a64(s)));
+    return std::string(buf);
+  };
+  EXPECT_EQ(hex(jsonl.str()), "dde081a449aa12a9");
+  EXPECT_EQ(hex(chrome.str()), "ad97197e973d26f4");
 }
 
 // A traced full experiment emits every record in nondecreasing ordered()

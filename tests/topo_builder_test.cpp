@@ -72,6 +72,30 @@ TEST(TopoBuilder, ParsedDumbbellMatchesForRedAndDelack) {
   expect_same_run(run_experiment(sc), run_topo_experiment(*spec));
 }
 
+// Under mean-field scaling `$bottleneck_bw` and the other capacity-side
+// references read the scaled values make_dumbbell_spec uses, so the file's
+// dumbbell is still the canonical one: same key, same run.
+TEST(TopoBuilder, ParsedMeanFieldDumbbellIsTheScaledCanonicalOne) {
+  Scenario sc = small_scenario();
+  sc.num_clients = 1000;
+  sc.meanfield_base = 60;
+  sc.gateway = GatewayQueue::kRed;
+  sc.duration = 1.0;
+  sc.warmup = 0.5;
+  TopoError err;
+  const auto spec = parse_topo(kDumbbellText, "dumbbell", &err,
+                               {{"clients", "1000"},
+                                {"meanfield_base", "60"},
+                                {"queue", "red"},
+                                {"duration", "1"},
+                                {"warmup", "0.5"}});
+  ASSERT_TRUE(spec.has_value()) << err.render("inline");
+  EXPECT_EQ(spec->links.front().rate_bps, sc.scaled_bottleneck_bw_bps());
+  EXPECT_TRUE(is_canonical_dumbbell(*spec));
+  EXPECT_EQ(topo_key(*spec), scenario_key(sc));
+  expect_same_run(run_experiment(sc), run_topo_experiment(*spec));
+}
+
 TEST(TopoBuilder, CanonicalDumbbellKeepsItsHistoricalMetricNames) {
   const Scenario sc = small_scenario();
   const ExperimentResult dumbbell = run_topo_experiment(make_dumbbell_spec(sc));
