@@ -1,15 +1,17 @@
 // sched_events: the event-core performance probe.
 //
 // Measures the scheduler hot loop in isolation (schedule/pop, with and
-// without cancellations, at the heap depths a paper run actually sees)
-// plus a timer-chain and a full N=100-client Reno/RED experiment, and
-// writes the numbers to a JSON file (default BENCH_sched.json) so the
-// perf trajectory across PRs has data instead of folklore.
+// without cancellations, at the pending depths a paper run actually
+// sees), the pop/re-arm steady state at 10^3..10^6 armed deadlines, a
+// replay of a real paper run's scheduler op stream, a timer chain and a
+// full N=100-client Reno/RED experiment, and writes the numbers to a
+// JSON file (default BENCH_sched.json) so the perf trajectory across
+// PRs has data instead of folklore.
 //
 // Modes:
 //   (default)  full runs: ~1e7 hot-loop ops
-//   --smoke    CI-sized: ~1e6 ops (seconds of wall time); the 10 s
-//              simulated experiment row is identical in both modes
+//   --smoke    CI-sized: ~1e6 ops (seconds of wall time); the replay
+//              and experiment rows are identical in both modes
 //
 // Every workload is deterministic (fixed seeds, fixed op mixes); wall
 // times are best-of --repeat (default 3) to shed scheduler noise.
@@ -124,12 +126,9 @@ BenchRow bench_schedule_cancel_pop(std::uint64_t ops, std::size_t depth,
 
 // The mean-field steady state: `pending` timers permanently armed while
 // the hot loop pops the earliest and re-arms it over a fixed horizon.
-// The heap variant (schedule_at) pays O(log pending) per op; the wheel
-// variant (schedule_soft_at) parks far deadlines in O(1) buckets, so its
-// cost tracks the near-term horizon instead. The paired rows measure the
-// crossover (recorded in EXPERIMENTS.md): identical op sequence, same
-// deadlines, only the backend differs.
-BenchRow bench_pop_rearm(std::uint64_t ops, std::size_t pending, bool wheel,
+// Far deadlines park in the timing wheel's O(1) buckets, so the cost
+// should track the near-term horizon, not the armed population.
+BenchRow bench_pop_rearm(std::uint64_t ops, std::size_t pending,
                          int repeat) {
   constexpr Time kHorizon = 2.0;  // seconds of re-arm spread (RTO-scale)
   // The wheel's O(1) is amortized: cascades of coarse buckets land in
@@ -143,12 +142,8 @@ BenchRow bench_pop_rearm(std::uint64_t ops, std::size_t pending, bool wheel,
     Scheduler s;
     Mix mix{1234};
     Time now = 0.0;
-    const auto rearm = [&s, &now, wheel](Time at) {
-      if (wheel) {
-        s.schedule_soft_at(at, [] {}, now);
-      } else {
-        s.schedule_at(at, [] {}, now);
-      }
+    const auto rearm = [&s, &now](Time at) {
+      s.schedule_at(at, [] {}, now);
     };
     for (std::size_t i = 0; i < pending; ++i) {
       rearm(now + kHorizon * (0.5 + 0.5 * mix.next()));
@@ -171,9 +166,60 @@ BenchRow bench_pop_rearm(std::uint64_t ops, std::size_t pending, bool wheel,
     }
     best = std::min(best, now_s() - t0);
   }
-  return finish((wheel ? "pop_rearm_wheel_p" : "pop_rearm_heap_p") +
-                    std::to_string(pending),
-                timed_ops, best);
+  return finish("pop_rearm_p" + std::to_string(pending), timed_ops, best);
+}
+
+// The scheduler alone under real traffic: records the op stream of the
+// fig02 Reno/RED N=60 point (20 s simulated) in-process, then replays it
+// against a fresh Scheduler — the same keys, cancels and pops in the same
+// order, with trivial callbacks — checking that every scheduled and every
+// popped event id matches the recording. ns per popped event is the
+// scheduler's share of a paper run's per-event cost.
+BenchRow bench_replay_fig02(int repeat) {
+  Scenario sc = Scenario::paper_default();
+  sc.num_clients = 60;
+  sc.transport = Transport::kReno;
+  sc.gateway = GatewayQueue::kRed;
+  sc.duration = 20.0;
+  std::vector<SchedulerOp> ops;
+  std::vector<SchedulerOp>* prev = Scheduler::record_ops(&ops);
+  run_experiment(sc);
+  Scheduler::record_ops(prev);
+  std::uint64_t pops = 0;
+  for (const SchedulerOp& op : ops) {
+    pops += op.kind == SchedulerOp::Kind::kPop ? 1 : 0;
+  }
+  double best = 1e99;
+  bool ids_match = true;
+  for (int rep = 0; rep < repeat; ++rep) {
+    Scheduler s;
+    EventId popped = kInvalidEventId;
+    const double t0 = now_s();
+    for (const SchedulerOp& op : ops) {
+      switch (op.kind) {
+        case SchedulerOp::Kind::kSchedule:
+          ids_match &= s.schedule_at_reserved(
+                           op.at, op.tie_time, op.seq,
+                           [&popped, id = op.id] { popped = id; }) == op.id;
+          break;
+        case SchedulerOp::Kind::kCancel:
+          s.cancel(op.id);
+          break;
+        case SchedulerOp::Kind::kPop:
+          s.next_time();  // as Simulator::run does before each pop
+          s.take_next().fn();
+          ids_match &= popped == op.id;
+          break;
+      }
+    }
+    best = std::min(best, now_s() - t0);
+  }
+  if (!ids_match || pops == 0) {
+    std::cerr << "sched_events: replay_fig02_n60 diverged from its "
+                 "recording\n";
+    std::exit(1);
+  }
+  return finish("replay_fig02_n60", pops, best);
 }
 
 BenchRow bench_timer_chain(std::uint64_t events, int repeat) {
@@ -262,13 +308,13 @@ int main(int argc, char** argv) {
   rows.push_back(bench_schedule_pop(hot_ops, 64, repeat));
   rows.push_back(bench_schedule_pop(hot_ops, 512, repeat));
   rows.push_back(bench_schedule_cancel_pop(hot_ops / 2, 512, repeat));
-  // Heap-vs-wheel crossover sweep: 10^3..10^6 armed soft-deadline timers.
+  // Pop/re-arm steady state at 10^3..10^6 armed deadlines.
   for (const std::size_t pending :
        {std::size_t{1000}, std::size_t{10000}, std::size_t{100000},
         std::size_t{1000000}}) {
-    rows.push_back(bench_pop_rearm(hot_ops / 10, pending, false, repeat));
-    rows.push_back(bench_pop_rearm(hot_ops / 10, pending, true, repeat));
+    rows.push_back(bench_pop_rearm(hot_ops / 10, pending, repeat));
   }
+  rows.push_back(bench_replay_fig02(repeat));
   rows.push_back(bench_timer_chain(hot_ops / 2, repeat));
   rows.push_back(bench_experiment(exp_duration, repeat));
 

@@ -284,7 +284,9 @@ std::string cli_usage() {
       "                         PATH.csv and PATH.jsonl\n"
       "  --fr-period=S          flight-recorder cadence   (default 0.1)\n"
       "  --fr-cap=N             flight-recorder sample budget (default 4096)\n"
-      "  --profile              per-LP phase table (windows=0 when lp=1)\n"
+      "  --profile              per-LP phase table (windows=0 when lp=1);\n"
+      "                         at lp=1 also the dispatch/transport/queue/\n"
+      "                         other ns per event split\n"
       "  --help                 this text\n";
 }
 

@@ -280,8 +280,9 @@ CampaignOutput run_campaign(const std::vector<CampaignSweep>& sweeps,
           static_cast<double>(out.stats.sim_events) / out.stats.sim_wall_s;
     }
     if (opts.log && out.stats.sim_events > 0) {
-      *opts.log << "campaign: " << out.stats.sim_events << " events, peak heap "
-                << out.stats.peak_pending_max << ", "
+      *opts.log << "campaign: " << out.stats.sim_events
+                << " events, peak pending " << out.stats.peak_pending_max
+                << ", "
                 << fmt(out.stats.events_per_sec / 1e6, 2) << " M events/s"
                 << std::endl;
     }

@@ -125,55 +125,30 @@ EventId Scheduler::schedule_at_reserved(Time at, Time tie_time,
   }
   Slot& s = slots_[idx];
   s.fn = std::move(fn);
-  heap_insert(Key{at, tie_time, order}, idx);
-  ++scheduled_count_;
-  if (size() > peak_pending_) peak_pending_ = size();
-  return make_id(idx, s.generation);
-}
-
-EventId Scheduler::schedule_soft_at(Time at, SmallFn fn, Time tie_time) {
-  // Consume the same FIFO rank a schedule_at at this instant would have:
-  // the full (at, tie_time, seq) key rides along through the wheel, so
-  // the eventual pop order is identical whichever structure held it.
-  const std::uint64_t order = next_seq_++;
-  if (!wheel_.accepts(at)) {
-    return schedule_at_reserved(at, tie_time, order, std::move(fn));
-  }
-  std::uint32_t idx;
-  if (!free_.empty()) {
-    idx = free_.back();
-    free_.pop_back();
+  if (wheel_.accepts(at)) {
+    const std::uint32_t node = wheel_.insert({at, tie_time, order, idx});
+    assert((node & kWheelBit) == 0 && "wheel node handle overflow");
+    s.heap_pos = kWheelBit | node;
   } else {
-    idx = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+    heap_insert(Key{at, tie_time, order}, idx);
   }
-  Slot& s = slots_[idx];
-  s.fn = std::move(fn);
-  const std::uint32_t node = wheel_.insert({at, tie_time, order, idx});
-  assert((node & kWheelBit) == 0 && "wheel node handle overflow");
-  s.heap_pos = kWheelBit | node;
   ++scheduled_count_;
   if (size() > peak_pending_) peak_pending_ = size();
-  return make_id(idx, s.generation);
+  const EventId id = make_id(idx, s.generation);
+  if (log_) {
+    log_->push_back({SchedulerOp::Kind::kSchedule, at, tie_time, order, id});
+  }
+  return id;
 }
 
-void Scheduler::settle() {
-  // Flush wheel buckets until the heap's top (if any) is strictly earlier
-  // than every wheel resident's conservative bound; only then is popping
-  // from the heap alone guaranteed to follow global (at, tie_time, seq)
-  // order. Each flushed bucket is a single wheel tick, and ticks are
-  // monotone in `at`, so a flush can never leapfrog a remaining resident.
-  while (!wheel_.empty()) {
-    if (!keys_.empty() && keys_[0].at < wheel_.min_at_bound()) break;
-    flush_buf_.clear();
-    wheel_.pop_earliest(flush_buf_);
-    for (const TimingWheel::Entry& e : flush_buf_) {
-      heap_insert(Key{e.at, e.tie_time, e.seq}, e.sched_slot);
-    }
-  }
+void Scheduler::flush_tick() {
+  wheel_.pop_earliest([this](const TimingWheel::Entry& e) {
+    heap_insert(Key{e.at, e.tie_time, e.seq}, e.sched_slot);
+  });
 }
 
 void Scheduler::cancel(EventId id) {
+  if (log_) log_->push_back({SchedulerOp::Kind::kCancel, 0.0, 0.0, 0, id});
   if (!pending(id)) {
     if (id != kInvalidEventId) ++stale_cancels_;
     return;
@@ -197,9 +172,22 @@ Scheduler::Ready Scheduler::take_next() {
   // after we return, and it may schedule freely (growing slots_/keys_).
   popped_tie_ = keys_[0].tie_time;
   Ready ready{keys_[0].at, std::move(slots_[idx].fn)};
+  if (log_) {
+    log_->push_back({SchedulerOp::Kind::kPop, 0.0, 0.0, 0,
+                     make_id(idx, slots_[idx].generation)});
+  }
   remove_root();
   free_slot(idx);
   return ready;
+}
+
+thread_local std::vector<SchedulerOp>* Scheduler::thread_log_ = nullptr;
+
+std::vector<SchedulerOp>* Scheduler::record_ops(
+    std::vector<SchedulerOp>* log) {
+  std::vector<SchedulerOp>* prev = thread_log_;
+  thread_log_ = log;
+  return prev;
 }
 
 }  // namespace burst

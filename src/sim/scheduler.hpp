@@ -1,20 +1,34 @@
-// Event scheduler: an indexed 4-ary min-heap of (time, tie-time, sequence)
-// ordered events with generation-tagged handles.
+// Event scheduler: one event path. Every event carries a full
+// (time, tie-time, sequence) sort key; an event due after the current
+// timing-wheel tick is parked in the wheel, and the indexed 4-ary
+// min-heap orders only the events of the current tick.
 //
 // Two events scheduled for the same instant fire in the order they were
 // scheduled (FIFO tie-break via a monotone sequence number), which keeps
 // runs bit-for-bit deterministic. A caller that *fuses* several logical
 // events into one insert (see SimplexLink) can pass an explicit tie-break
 // time: events with the same `at` order by (tie_time, seq), so a fused
-// event inserted early can still claim the heap position its unfused
-// ancestor would have had. Since seq is monotone in insertion (and hence
-// in simulated time), tie_time == insertion time reproduces plain FIFO
-// exactly — which is what Simulator passes by default. The heap stores
-// slot indices and every slot knows its heap position, so:
+// event inserted early can still claim the position its unfused ancestor
+// would have had. Since seq is monotone in insertion (and hence in
+// simulated time), tie_time == insertion time reproduces plain FIFO
+// exactly — which is what Simulator passes by default.
+//
+// Storage (DESIGN.md §11): schedule_at_reserved() parks any event the
+// hierarchical timing wheel accepts (any tick after the wheel's cursor)
+// in O(1); the rest are due in the cursor's tick and go to the heap.
+// When the heap runs dry, the wheel surrenders its earliest tick into
+// it. Wheel residents always sit at later ticks than everything the heap
+// holds, and ticks are monotone in time, so the heap top is always the
+// global minimum: every pop leaves the heap in exact (at, tie_time, seq)
+// order, whichever structure held the event before, and runs are
+// bit-identical to a heap-only scheduler. The heap stays as small as one
+// tick's events, and a pending deadline costs O(1) however many are armed.
+//
+// The heap stores slot indices and every slot knows its location, so:
 //
 //  * pending() is an O(1) generation check (no shadow hash set),
-//  * cancel() is a true O(log n) removal that frees the callback
-//    immediately (no tombstones to skip at pop time),
+//  * cancel() is a true O(1) wheel unlink or O(log n) heap removal that
+//    frees the callback immediately (no tombstones to skip at pop time),
 //  * callbacks live in SmallFn's inline buffer, so the common
 //    timer/packet-arrival event never heap-allocates.
 //
@@ -22,21 +36,7 @@
 // slot indices live in separate parallel arrays so the child scan reads
 // nothing but contiguous 24-byte keys, and the root is removed with
 // Floyd's bottom-up deletion (sift the hole to a leaf, then sift the
-// displaced last element up). Measurably faster than the old
-// std::priority_queue<Item> (which sifted 80-byte items holding
-// std::functions) for the schedule/pop mix that dominates runs (see
-// bench/sched_events and bench/packet_path).
-//
-// Two-tier storage (DESIGN.md §11): exact-order packet events live on
-// the heap; the *soft-deadline* timer class — schedule_soft_at(), used by
-// Timer::Mode::kLazy for RTO/delayed-ACK deadlines — is parked in a
-// hierarchical timing wheel when far enough out, and flushed into the
-// heap (full sort key attached) before any pop that could reach it.
-// Every pop still leaves the heap, in exact (at, tie_time, seq) order,
-// so runs are bit-identical whichever structure held an event; what
-// changes is cost: heap depth tracks the near-term horizon instead of
-// the total armed-timer count, which is what keeps 10^5–10^6 pending
-// RTO timers from turning every packet event into a deep sift.
+// displaced last element up).
 #pragma once
 
 #include <cstdint>
@@ -57,6 +57,16 @@ using EventId = std::uint64_t;
 
 /// Sentinel for "no event".
 inline constexpr EventId kInvalidEventId = 0;
+
+/// One scheduler call, as recorded for replay (Scheduler::record_ops).
+struct SchedulerOp {
+  enum class Kind : std::uint8_t { kSchedule, kCancel, kPop };
+  Kind kind;
+  Time at = 0.0;                 // kSchedule: the event's sort key
+  Time tie_time = 0.0;
+  std::uint64_t seq = 0;
+  EventId id = kInvalidEventId;  // the event scheduled, cancelled or popped
+};
 
 class Scheduler {
  public:
@@ -85,16 +95,6 @@ class Scheduler {
   EventId schedule_at_reserved(Time at, Time tie_time, std::uint64_t order,
                                SmallFn fn);
 
-  /// Schedules a *soft-deadline* event: identical observable semantics to
-  /// schedule_at() — same FIFO rank consumption, same firing order, full
-  /// cancel/pending support — but far-future events are parked in the
-  /// timing wheel (O(1)) instead of the heap (O(log n)). For the lazy
-  /// RTO/delayed-ACK timers that keep one event armed per flow, this is
-  /// what holds heap depth at the near-term horizon when 10^5+ flows are
-  /// idle-armed. Events due within the current wheel tick go straight to
-  /// the heap.
-  EventId schedule_soft_at(Time at, SmallFn fn, Time tie_time = 0.0);
-
   /// Cancels a pending event, releasing its callback immediately.
   /// Cancelling an already-fired, already-cancelled, or invalid id is a
   /// harmless no-op (counted in stale_cancels() so tests can assert that
@@ -115,7 +115,7 @@ class Scheduler {
   std::size_t size() const { return keys_.size() + wheel_.size(); }
 
   /// Time of the earliest event, or kTimeNever if none. Settles the
-  /// wheel first, so the answer is exact across both structures.
+  /// wheel first (see settle()).
   Time next_time() {
     settle();
     return keys_.empty() ? kTimeNever : keys_[0].at;
@@ -129,6 +129,7 @@ class Scheduler {
   };
 
   /// Pops the earliest event without invoking it. Precondition: !empty().
+  /// Settles first, so it may follow next_time() or stand alone.
   Ready take_next();
 
   /// The tie-break instant of the most recently popped event (see
@@ -151,10 +152,17 @@ class Scheduler {
   /// Events currently parked in the timing wheel (diagnostics).
   std::size_t wheel_size() const { return wheel_.size(); }
 
+  /// Records every schedule, cancel and pop of each Scheduler constructed
+  /// on the calling thread while @p log is installed (nullptr
+  /// uninstalls), so a real run's op stream can be replayed against the
+  /// scheduler alone (bench/sched_events replay_fig02_n60). Returns the
+  /// previously installed log, for the caller to restore.
+  static std::vector<SchedulerOp>* record_ops(std::vector<SchedulerOp>* log);
+
  private:
   /// heap_pos is the slot's location tag: kFreePos when free, a heap
-  /// index for heap-resident events, or (kWheelBit | wheel node index)
-  /// for events parked in the timing wheel.
+  /// index for events of the current tick, or (kWheelBit | wheel node
+  /// index) for events parked in the timing wheel.
   struct Slot {
     SmallFn fn;
     std::uint32_t generation = 0;
@@ -213,9 +221,14 @@ class Scheduler {
   /// Inserts an already-ranked key for @p slot into the heap (shared by
   /// schedule_at_reserved and the wheel flush; does not touch counters).
   void heap_insert(const Key& k, std::uint32_t slot);
-  /// Flushes wheel buckets into the heap until the heap top is a safe
-  /// global minimum (heap top earlier than every wheel resident's bound).
-  void settle();
+  /// Makes the heap top the global minimum: the heap holds only ticks up
+  /// to the wheel's cursor and the wheel only later ones, so the top is
+  /// safe unless the heap is empty, and then the wheel's earliest tick
+  /// moves in. One compare in the common case.
+  void settle() {
+    if (keys_.empty() && !wheel_.empty()) flush_tick();
+  }
+  void flush_tick();
 
   std::vector<Slot> slots_;   // stable storage for pending callbacks
   // 4-ary min-heap on (at, tie_time, seq); keys_ and heap_slot_ are
@@ -229,8 +242,10 @@ class Scheduler {
   std::uint64_t peak_pending_ = 0;
   std::uint64_t stale_cancels_ = 0;
 
-  TimingWheel wheel_;                          // soft-deadline far events
-  std::vector<TimingWheel::Entry> flush_buf_;  // settle() scratch
+  TimingWheel wheel_;  // every event due after the current tick
+
+  static thread_local std::vector<SchedulerOp>* thread_log_;
+  std::vector<SchedulerOp>* log_ = thread_log_;  // see record_ops()
 };
 
 }  // namespace burst

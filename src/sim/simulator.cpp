@@ -17,11 +17,6 @@ EventId Simulator::schedule_at(Time at, SmallFn fn) {
   return scheduler_.schedule_at(at, std::move(fn), now_);
 }
 
-EventId Simulator::schedule_soft_at(Time at, SmallFn fn) {
-  assert(at >= now_ && "cannot schedule into the past");
-  return scheduler_.schedule_soft_at(at, std::move(fn), now_);
-}
-
 EventId Simulator::schedule_at_as_of(Time at, Time tie_time, SmallFn fn) {
   assert(at >= now_ && "cannot schedule into the past");
   assert(tie_time <= at && "tie-break instant must not trail the event");

@@ -29,19 +29,12 @@ class Simulator {
   /// Schedules @p fn at absolute time @p at (>= now()).
   EventId schedule_at(Time at, SmallFn fn);
 
-  /// Schedules a soft-deadline event at absolute time @p at (>= now()):
-  /// same observable ordering as schedule_at(), but far-future events are
-  /// parked in the scheduler's timing wheel (O(1)) instead of the heap.
-  /// Used by Timer::Mode::kLazy — the per-flow RTO/delayed-ACK deadlines
-  /// whose pending count scales with the flow count.
-  EventId schedule_soft_at(Time at, SmallFn fn);
-
   /// Schedules @p fn at absolute time @p at, ordered among same-time
   /// events *as if* it had been inserted at instant @p tie_time
   /// (<= @p at). This is how a fused event (one insert standing in for a
-  /// chain of two, see SimplexLink) lands in exactly the heap position
-  /// the unfused chain's final event would have had, keeping runs
-  /// bit-identical across the fusion. Plain schedule_at() is the
+  /// chain of two, see SimplexLink) lands in exactly the place in the
+  /// event order the unfused chain's final event would have had, keeping
+  /// runs bit-identical across the fusion. Plain schedule_at() is the
   /// tie_time == now() special case.
   EventId schedule_at_as_of(Time at, Time tie_time, SmallFn fn);
 
@@ -50,7 +43,7 @@ class Simulator {
   /// schedule_at_reserved(): the event sorts among same-time peers as the
   /// event that *would* have been scheduled at reservation point — this
   /// is how a lazily-armed fused event (SimplexLink's queue drain) keeps
-  /// the heap position of the eager event it replaces.
+  /// the position of the eager event it replaces.
   std::uint64_t reserve_order() { return scheduler_.reserve_order(); }
 
   /// Schedules @p fn at @p at ranked by (@p tie_time, @p order) among
@@ -85,8 +78,8 @@ class Simulator {
   }
 
   /// Earliest pending event's time (kTimeNever if none): the lower bound
-  /// this LP publishes to the window barrier. Settles the timing wheel,
-  /// so the bound is exact across both storage tiers.
+  /// this LP publishes to the window barrier. Exact: the scheduler moves
+  /// the wheel's earliest tick into its heap when the heap is empty.
   Time next_event_time() { return scheduler_.next_time(); }
 
   /// Requests that run() return after the current event completes.

@@ -28,12 +28,7 @@ void Timer::arm(Time at) {
   auto fire = [this] { on_event(); };
   static_assert(SmallFn::stores_inline<decltype(fire)>(),
                 "the timer trampoline must fit SmallFn's inline buffer");
-  // kLazy timers tolerate deferred firing by construction, so their armed
-  // event rides the timing wheel: O(1) to park, and the far-future RTO
-  // majority stays out of the heap entirely. kExact timers keep the
-  // classic heap insert.
-  id_ = mode_ == Mode::kLazy ? sim_.schedule_soft_at(at, std::move(fire))
-                             : sim_.schedule_at(at, std::move(fire));
+  id_ = sim_.schedule_at(at, std::move(fire));
 }
 
 void Timer::disarm() {

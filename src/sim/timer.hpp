@@ -15,9 +15,11 @@
 //    forward — the TCP RTO, pushed out by every ACK — costs zero scheduler
 //    traffic per move instead of a cancel+insert pair. Observable firing
 //    semantics are identical to kExact: the callback runs exactly at the
-//    latest scheduled deadline, never after a cancel. The armed event is
-//    a soft-deadline scheduler event (Simulator::schedule_soft_at), so at
-//    large flow counts it parks in the timing wheel, not the heap.
+//    latest scheduled deadline, never after a cancel.
+//
+// Both modes arm through Simulator::schedule_at, like every other event:
+// a deadline past the current tick parks in the scheduler's timing wheel
+// in O(1), so 10^5+ armed RTO timers never deepen the heap.
 #pragma once
 
 #include <cstdint>

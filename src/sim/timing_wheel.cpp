@@ -31,22 +31,6 @@ int TimingWheel::level_for(std::uint64_t tick) const {
   return kLevels;
 }
 
-std::uint32_t TimingWheel::alloc_node(const Entry& entry) {
-  std::uint32_t n;
-  if (!free_.empty()) {
-    n = free_.back();
-    free_.pop_back();
-  } else {
-    n = static_cast<std::uint32_t>(nodes_.size());
-    nodes_.emplace_back();
-  }
-  Node& node = nodes_[n];
-  node.entry = entry;
-  node.prev = kNil;
-  node.next = kNil;
-  return n;
-}
-
 void TimingWheel::link(std::uint32_t n, std::uint64_t tick, int level) {
   Node& node = nodes_[n];
   if (level >= kLevels) {
@@ -54,8 +38,7 @@ void TimingWheel::link(std::uint32_t n, std::uint64_t tick, int level) {
     node.next = far_head_;
     if (far_head_ != kNil) nodes_[far_head_].prev = n;
     far_head_ = n;
-    ++far_size_;
-    far_min_ = std::min(far_min_, node.entry.at);
+    far_min_tick_ = std::min(far_min_tick_, tick);
     return;
   }
   const std::uint32_t shift = 6u * static_cast<std::uint32_t>(level);
@@ -67,13 +50,7 @@ void TimingWheel::link(std::uint32_t n, std::uint64_t tick, int level) {
   node.next = head_[b];
   if (head_[b] != kNil) nodes_[head_[b]].prev = n;
   head_[b] = n;
-  const std::uint64_t bit = std::uint64_t{1} << slot;
-  if (occupied_[level] & bit) {
-    bucket_min_[b] = std::min(bucket_min_[b], node.entry.at);
-  } else {
-    occupied_[level] |= bit;
-    bucket_min_[b] = node.entry.at;
-  }
+  occupied_[level] |= std::uint64_t{1} << slot;
 }
 
 void TimingWheel::unlink(std::uint32_t n) {
@@ -86,21 +63,25 @@ void TimingWheel::unlink(std::uint32_t n) {
     head_[node.bucket] = node.next;
   }
   if (node.next != kNil) nodes_[node.next].prev = node.prev;
-  if (node.bucket == kFarBucket) {
-    --far_size_;
-    if (far_head_ == kNil) far_min_ = kTimeNever;
-  } else if (head_[node.bucket] == kNil) {
+  if (node.bucket != kFarBucket && head_[node.bucket] == kNil) {
     occupied_[node.bucket / kSlotsPerLevel] &=
         ~(std::uint64_t{1} << (node.bucket % kSlotsPerLevel));
   }
-  node.prev = kNil;
-  node.next = kNil;
 }
 
 std::uint32_t TimingWheel::insert(const Entry& entry) {
   const std::uint64_t tick = tick_of(entry.at);
   assert(tick > cursor_ && "insert requires accepts(at)");
-  const std::uint32_t n = alloc_node(entry);
+  std::uint32_t n = free_head_;
+  if (n != kNil) {
+    free_head_ = nodes_[n].next;
+  } else {
+    n = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.emplace_back();
+  }
+  Node& node = nodes_[n];
+  node.entry = entry;
+  node.prev = kNil;
   link(n, tick, level_for(tick));
   ++size_;
   return n;
@@ -108,55 +89,43 @@ std::uint32_t TimingWheel::insert(const Entry& entry) {
 
 void TimingWheel::remove(std::uint32_t n) {
   unlink(n);
-  free_.push_back(n);
+  nodes_[n].next = free_head_;
+  free_head_ = n;
   --size_;
 }
 
-Time TimingWheel::min_at_bound() const {
-  Time m = far_min_;
-  for (int i = 0; i < kLevels; ++i) {
-    if (!occupied_[i]) continue;
-    const std::uint32_t shift = 6u * static_cast<std::uint32_t>(i);
-    const std::uint32_t p =
-        static_cast<std::uint32_t>(cursor_ >> shift) & (kSlotsPerLevel - 1);
-    // First occupied slot cyclically from the cursor's = the level's
-    // earliest-tick bucket (all residents sit within one revolution).
-    const std::uint32_t d = static_cast<std::uint32_t>(
-        __builtin_ctzll(rotr64(occupied_[i], p)));
-    const std::uint32_t slot = (p + d) & (kSlotsPerLevel - 1);
-    m = std::min(m,
-                 bucket_min_[static_cast<std::uint32_t>(i) * kSlotsPerLevel +
-                             slot]);
-  }
-  return m;
-}
-
 void TimingWheel::refill_from_far() {
-  assert(far_head_ != kNil);
-  std::uint64_t min_tick = ~std::uint64_t{0};
-  for (std::uint32_t n = far_head_; n != kNil; n = nodes_[n].next) {
-    min_tick = std::min(min_tick, tick_of(nodes_[n].entry.at));
+  if (std::none_of(std::begin(occupied_), std::end(occupied_),
+                   [](std::uint64_t bits) { return bits != 0; })) {
+    // Nothing is bucketed: jump the cursor straight to the far minimum.
+    std::uint64_t min_tick = ~std::uint64_t{0};
+    for (std::uint32_t n = far_head_; n != kNil; n = nodes_[n].next) {
+      min_tick = std::min(min_tick, tick_of(nodes_[n].entry.at));
+    }
+    if (cursor_ < min_tick) cursor_ = min_tick;
   }
-  if (cursor_ < min_tick) cursor_ = min_tick;
   std::uint32_t n = far_head_;
   far_head_ = kNil;
-  far_size_ = 0;
-  far_min_ = kTimeNever;
+  far_min_tick_ = ~std::uint64_t{0};
   while (n != kNil) {
     const std::uint32_t next = nodes_[n].next;
     nodes_[n].prev = kNil;
-    nodes_[n].next = kNil;
     const std::uint64_t tick = tick_of(nodes_[n].entry.at);
     link(n, tick, level_for(tick));
     n = next;
   }
 }
 
-void TimingWheel::pop_earliest(std::vector<Entry>& out) {
+std::uint32_t TimingWheel::detach_earliest() {
   assert(size_ > 0 && "pop_earliest on empty wheel");
   for (;;) {
+    // The earliest bucket by base tick. Ties go to the coarser level (and
+    // the far list beats every level): a coarse bucket whose base equals
+    // a finer bucket's tick may hold entries of that very tick, so it
+    // must cascade first — a surrendered tick leaves no resident at or
+    // before it.
     int best_level = -1;
-    std::uint64_t best_base = 0;
+    std::uint64_t best_base = ~std::uint64_t{0};
     std::uint32_t best_bucket = 0;
     for (int i = 0; i < kLevels; ++i) {
       if (!occupied_[i]) continue;
@@ -167,16 +136,17 @@ void TimingWheel::pop_earliest(std::vector<Entry>& out) {
       const std::uint32_t d = static_cast<std::uint32_t>(
           __builtin_ctzll(rotr64(occupied_[i], p)));
       const std::uint64_t base = (cur_index + d) << shift;
-      if (best_level < 0 || base < best_base) {
+      if (base <= best_base) {
         best_level = i;
         best_base = base;
         best_bucket = static_cast<std::uint32_t>(i) * kSlotsPerLevel +
                       ((p + d) & (kSlotsPerLevel - 1));
       }
     }
-    if (best_level < 0) {
-      // Every level is empty; only the far list holds entries. Jump the
-      // cursor to their minimum tick and re-bucket them.
+    if (far_head_ != kNil && far_min_tick_ <= best_base) {
+      // A far entry may be due no later than every bucket: re-bucket the
+      // far list against the current cursor (jumping the cursor first if
+      // every level is empty) and look again.
       refill_from_far();
       continue;
     }
@@ -187,25 +157,15 @@ void TimingWheel::pop_earliest(std::vector<Entry>& out) {
     head_[best_bucket] = kNil;
     occupied_[best_level] &=
         ~(std::uint64_t{1} << (best_bucket % kSlotsPerLevel));
-    if (best_level == 0) {
-      // A level-0 bucket is a single tick: hand its entries to the heap,
-      // which restores exact (at, tie_time, seq) order among them.
-      while (n != kNil) {
-        const std::uint32_t next = nodes_[n].next;
-        out.push_back(nodes_[n].entry);
-        free_.push_back(n);
-        --size_;
-        n = next;
-      }
-      return;
-    }
+    // A level-0 bucket is a single tick: pop_earliest hands its entries
+    // to the caller, whose heap restores exact (at, tie_time, seq) order.
+    if (best_level == 0) return n;
     // Coarse bucket: redistribute one level (or more) down. Each entry's
     // slot-index distance from the new cursor is < 64 at the level below,
     // so the cascade strictly descends and terminates.
     while (n != kNil) {
       const std::uint32_t next = nodes_[n].next;
       nodes_[n].prev = kNil;
-      nodes_[n].next = kNil;
       const std::uint64_t tick = tick_of(nodes_[n].entry.at);
       const int level = level_for(tick);
       assert(level < best_level);

@@ -1,16 +1,13 @@
-// Hierarchical timing wheel (Varghese & Lauck): the Scheduler's second
-// backend, holding the soft-deadline timer class — the kLazy RTO and
-// delayed-ACK timers that dominate *pending* events at large N but are a
-// vanishing fraction of *executed* events.
+// Hierarchical timing wheel (Varghese & Lauck): where the Scheduler parks
+// every event that is not due in the current tick.
 //
-// Why a second structure at all: the indexed 4-ary heap pays O(log n) per
-// insert/cancel where n is the total pending count. A mean-field run
-// (10^5–10^6 flows) keeps one RTO timer per flow permanently armed, so n
-// is flow-count-sized even though the near-term event horizon — the
-// packets and timers actually about to fire — stays small. The wheel
-// stores the far-future majority in O(1) buckets and feeds the heap only
-// the events whose turn is near, so heap depth tracks the horizon, not
-// the flow count (DESIGN.md §11; crossover measured in EXPERIMENTS.md).
+// Why a wheel at all: the indexed 4-ary heap pays O(log n) per
+// insert/cancel where n is the total pending count. A paper run keeps a
+// few hundred packet and timer events pending; a mean-field run
+// (10^4–10^6 flows) keeps one RTO timer per flow permanently armed. The
+// wheel stores all of them in O(1) buckets and hands the heap one tick's
+// worth at a time, so the heap only ever orders the current tick
+// (DESIGN.md §11; measured in EXPERIMENTS.md).
 //
 // Structure: kLevels levels of 64 slots each; a level-i slot spans
 // 64^i base ticks (tick = floor(at / granularity)). An entry lands on the
@@ -19,18 +16,16 @@
 // One occupancy bitmap per level makes "next non-empty bucket" a ctz, so
 // advancing across long empty gaps never walks slots one by one.
 //
-// Ordering contract (what makes the two-tier scheduler bit-identical):
-// the wheel never fires anything itself. pop_earliest() always surrenders
-// the bucket with the smallest base tick — cascading coarse buckets down
+// Ordering contract (what keeps every run bit-identical): the wheel
+// never fires anything itself. pop_earliest() always surrenders the
+// bucket with the smallest base tick — cascading coarse buckets down
 // level by level — until a level-0 bucket (a single tick) is due, and
 // hands its entries, full (at, tie_time, seq) keys attached, to the
-// caller to merge into the heap. Because tick = floor(at/granularity) is
-// monotone in `at`, an entry still in the wheel can never sort before one
-// the wheel has already surrendered; exact (at, tie_time, seq) order —
-// including cross-structure ties — is restored by the heap. min_at_bound()
-// gives the caller a conservative lower bound on every resident's `at`,
-// so the heap can keep popping without touching the wheel until a wheel
-// entry could actually be next.
+// caller. Residents always sit at ticks strictly after the cursor, and
+// tick = floor(at/granularity) is monotone in `at`, so everything the
+// wheel has surrendered (or refused, see accepts()) sorts before
+// everything it still holds; the heap restores exact order within the
+// surrendered tick.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +44,8 @@ class TimingWheel {
   static constexpr std::uint32_t kSlotsPerLevel = 64;
 
   /// A resident event: the scheduler's full sort key plus the owning
-  /// callback slot, carried verbatim so the heap can merge flushed
-  /// entries into exact global order.
+  /// callback slot, carried verbatim so the heap can order surrendered
+  /// entries exactly.
   struct Entry {
     Time at;
     Time tie_time;
@@ -59,14 +54,14 @@ class TimingWheel {
   };
 
   /// @p granularity is the level-0 tick width in seconds. The default
-  /// (256 µs) keeps ms-scale delayed-ACK deadlines multiple ticks out
-  /// while spanning ~4.5 simulated months before the far list engages
-  /// (64^5 ticks).
+  /// (256 µs) is about one bottleneck transmission time at paper scale,
+  /// and the wheel spans ~4.5 simulated months before the far list
+  /// engages (64^5 ticks).
   explicit TimingWheel(Time granularity = 256e-6);
 
   /// True if @p at is far enough out to bucket (strictly after the
-  /// cursor tick). The caller routes non-accepted events to the heap —
-  /// they are due within the current tick, where bucketing buys nothing.
+  /// cursor tick). Events the wheel refuses are due in the current tick:
+  /// they sort before every resident, so the caller orders them itself.
   bool accepts(Time at) const { return tick_of(at) > cursor_; }
 
   /// Inserts an entry (precondition: accepts(entry.at)). Returns a node
@@ -79,18 +74,27 @@ class TimingWheel {
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
-  /// Conservative lower bound on the `at` of every resident entry, or
-  /// kTimeNever when empty. May be stale-low after removals (a removed
-  /// minimum is not rediscovered), which can only make the caller flush
-  /// a bucket early — never pop the heap past a resident entry.
-  Time min_at_bound() const;
-
-  /// Appends the entries of the earliest-tick bucket to @p out,
-  /// cascading coarser buckets down levels as needed, and advances the
-  /// cursor to that tick. Precondition: !empty(); postcondition: at
-  /// least one entry appended. Amortized O(1) per entry over its
-  /// lifetime (each node cascades at most kLevels times).
-  void pop_earliest(std::vector<Entry>& out);
+  /// Surrenders the earliest-tick bucket, cascading coarser buckets down
+  /// levels as needed, and advances the cursor to that tick: calls
+  /// @p sink(const Entry&) once per entry, in no particular order. The
+  /// sink must not touch the wheel. Precondition: !empty(); at least one
+  /// entry is surrendered. Amortized O(1) per entry over its lifetime
+  /// (each node cascades at most kLevels times).
+  template <typename Sink>
+  void pop_earliest(Sink&& sink) {
+    std::uint32_t n = detach_earliest();
+    const std::uint32_t first = n;
+    for (;;) {
+      const Node& node = nodes_[n];
+      sink(node.entry);
+      --size_;
+      if (node.next == kNil) break;
+      n = node.next;
+    }
+    // The bucket's list becomes the head of the free list in one splice.
+    nodes_[n].next = free_head_;
+    free_head_ = first;
+  }
 
   /// Total entries ever cascaded one level down (diagnostics).
   std::uint64_t cascades() const { return cascades_; }
@@ -99,8 +103,8 @@ class TimingWheel {
   struct Node {
     Entry entry;
     std::uint32_t prev = kNil;
-    std::uint32_t next = kNil;
-    std::uint32_t bucket = 0;  // level * kSlotsPerLevel + slot, or kFarBucket
+    std::uint32_t next = kNil;  // bucket list, or free list when free
+    std::uint32_t bucket = 0;   // level * kSlotsPerLevel + slot, or kFarBucket
   };
   static constexpr std::uint32_t kFarBucket = 0xffffffffu;
   /// Ticks at or above this are clamped far-future (guards the
@@ -123,11 +127,13 @@ class TimingWheel {
   void link(std::uint32_t node, std::uint64_t tick, int level);
   void unlink(std::uint32_t node);
 
-  /// Moves every far-list node back through link(); called when all
-  /// levels are empty, after advancing the cursor to the far minimum.
+  /// Moves every far-list node back through link(), after advancing the
+  /// cursor to the far minimum if every level is empty.
   void refill_from_far();
 
-  std::uint32_t alloc_node(const Entry& entry);
+  /// Cascades until the earliest bucket is a level-0 one, advances the
+  /// cursor to its tick, empties it and returns its list head.
+  std::uint32_t detach_earliest();
 
   Time granularity_;
   double inv_granularity_;
@@ -136,18 +142,16 @@ class TimingWheel {
   std::uint64_t cascades_ = 0;
 
   std::vector<Node> nodes_;
-  std::vector<std::uint32_t> free_;
+  std::uint32_t free_head_ = kNil;  // free nodes, linked through `next`
 
-  // Per-level occupancy bitmap (bit = slot), bucket list heads, and a
-  // conservative per-bucket minimum `at` (maintained on insert/link,
-  // reset when a bucket empties; removals may leave it stale-low).
+  // Per-level occupancy bitmap (bit = slot) and bucket list heads.
   std::uint64_t occupied_[kLevels] = {};
   std::uint32_t head_[kLevels * kSlotsPerLevel];
-  Time bucket_min_[kLevels * kSlotsPerLevel];
 
   std::uint32_t far_head_ = kNil;
-  Time far_min_ = kTimeNever;
-  std::size_t far_size_ = 0;
+  /// Lower bound on the far list's ticks (stale-low after removals,
+  /// which only costs an early refill).
+  std::uint64_t far_min_tick_ = ~std::uint64_t{0};
 };
 
 }  // namespace burst

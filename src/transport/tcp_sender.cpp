@@ -28,8 +28,8 @@ TcpSender::TcpSender(Simulator& sim, Node& node, FlowId flow, NodeId peer,
       estimator_(cfg.rto, &arena_->rto_state(slot_)),
       // Lazy mode: the RTO deadline is pushed forward by every ACK; a
       // soft-deadline timer turns that churn into a field write, and its
-      // armed event rides the scheduler's timing wheel, so 10^5+ flows'
-      // worth of idle-armed RTOs never deepen the packet-event heap.
+      // armed event waits in the scheduler's timing wheel, so 10^5+
+      // flows' worth of idle-armed RTOs never deepen the heap.
       rto_timer_(sim, [this] { on_rto(); }, Timer::Mode::kLazy) {}
 
 void TcpSender::set_cwnd_trace(TraceSeries* trace) {

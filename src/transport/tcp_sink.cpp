@@ -28,8 +28,7 @@ TcpSink::TcpSink(Simulator& sim, Node& node, FlowId flow, NodeId peer,
           },
           // Lazy mode: armed/cancelled once per held segment, so cancels
           // (the common case — the second segment flushes the ACK) are
-          // free instead of a heap cancel each; the armed event parks in
-          // the timing wheel rather than the packet-event heap.
+          // free instead of a scheduler cancel each.
           Timer::Mode::kLazy) {}
 
 void TcpSink::send_ack() {

@@ -1,20 +1,22 @@
-// Randomized differential test: the two-tier Scheduler (heap + timing
-// wheel) against a naive reference model (sorted map), over thousands of
-// interleaved schedule / soft-schedule / reserve / cancel / run
-// operations.
+// Randomized differential test: the Scheduler (timing wheel feeding a
+// current-tick heap) against a naive reference model (sorted map), over
+// thousands of interleaved schedule / reserve / cancel / run operations.
 //
 // The model mirrors the full ordering contract: events pop by
 // (at, tie_time, seq), where seq is the scheduler's monotone insertion
-// counter — consumed by schedule_at(), schedule_soft_at() AND
-// reserve_order() alike — so the fused-event machinery (explicit tie
-// times, ranks reserved early and redeemed later; see SimplexLink) and
-// the wheel-parked soft-deadline class are exercised against the same
-// oracle as plain FIFO scheduling. The model also predicts exactly which
+// counter — consumed by schedule_at() AND reserve_order() alike — so the
+// fused-event machinery (explicit tie times, ranks reserved early and
+// redeemed later; see SimplexLink) is exercised against the same oracle
+// as plain FIFO scheduling, with deadlines on exact wheel tick edges, in
+// the far list, and cancels aimed at the wheel's minimum. The model also
+// predicts exactly which
 // cancels are stale (target already fired or cancelled), pinning
 // Scheduler::stale_cancels() — well-behaved components must never rely
 // on the generation-tag no-op.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iterator>
 #include <map>
 #include <tuple>
 #include <vector>
@@ -83,15 +85,23 @@ TEST_P(SchedulerFuzz, MatchesReferenceModel) {
       ref.schedule({at, now, seq}, id, label);
       live_ids.push_back(id);
     } else if (op < 0.40) {
-      // Soft-deadline schedule: may park in the timing wheel, but must
-      // pop in exactly the (at, tie_time, seq) order of the plain path.
-      // Mix near deadlines (sub-tick -> heap) with far ones (wheel).
-      const Time at =
-          now + (rng.uniform() < 0.3 ? rng.uniform(0.0, 1e-3)
-                                     : rng.uniform(0.0, 30.0));
+      // Wheel boundaries: an exact k*256 us tick edge (the default wheel
+      // granularity, where tick rounding bites), the current instant, or
+      // a deadline past the wheel's top level (the far list, ~4.5 months
+      // of 256 us ticks away).
+      constexpr Time kTick = 256e-6;
+      const double kind = rng.uniform();
+      Time at = now;
+      if (kind < 0.6) {
+        const double k = std::floor(now / kTick) +
+                         static_cast<double>(rng.uniform_int(0, 300));
+        at = std::max(now, k * kTick);
+      } else if (kind < 0.9) {
+        at = now + 1073741824.0 * kTick * rng.uniform(1.0, 2.0);
+      }
       const int label = next_label++;
       const std::uint64_t seq = model_seq++;
-      const EventId id = sched.schedule_soft_at(at, make_fn(label), now);
+      const EventId id = sched.schedule_at(at, make_fn(label), now);
       ref.schedule({at, now, seq}, id, label);
       live_ids.push_back(id);
     } else if (op < 0.50) {
@@ -121,7 +131,21 @@ TEST_P(SchedulerFuzz, MatchesReferenceModel) {
           sched.schedule_at_reserved(at, tie, order, make_fn(label));
       ref.schedule({at, tie, order}, id, label);
       live_ids.push_back(id);
-    } else if (op < 0.72 && !live_ids.empty()) {
+    } else if (op < 0.66 && !ref.pending.empty()) {
+      // Heap residents are the first size() - wheel_size() keys; cancel
+      // the next one, the wheel's current minimum (or the heap top).
+      const std::size_t in_heap = sched.size() - sched.wheel_size();
+      auto it = ref.pending.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(
+                           std::min(in_heap, ref.pending.size() - 1)));
+      EventId id = kInvalidEventId;
+      for (const auto& [eid, key] : ref.by_id) {
+        if (key == it->first) id = eid;
+      }
+      ASSERT_TRUE(sched.pending(id));
+      ref.cancel(id);
+      sched.cancel(id);
+    } else if (op < 0.74 && !live_ids.empty()) {
       // Cancel a random id (possibly already fired -> no-op both sides).
       const auto idx = static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(live_ids.size()) - 1));

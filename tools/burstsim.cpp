@@ -9,6 +9,7 @@
 #include "src/core/cli.hpp"
 #include "src/core/report.hpp"
 #include "src/obs/flight_recorder.hpp"
+#include "src/obs/profile.hpp"
 #include "src/obs/runtime_trace.hpp"
 #include "src/obs/trace.hpp"
 #include "src/topo/parser.hpp"
@@ -62,6 +63,32 @@ void print_lp_phases(std::ostream& os, const burst::ExperimentResult& r,
                       "merge hw", "chan hw/ovf", "horizon adv", "run",
                       "barrier"},
                      rows);
+}
+
+// Where a sequential run's wall clock went, per executed event: the self
+// time of each Profiler phase (dispatch = the event loop: scheduler pops
+// and callback overhead; transport = agent packet handling; queue =
+// queue-discipline decisions; other = outside the loop: build, metrics).
+// Printed for lp1 runs only: the profiler is per thread, and the LPs of
+// a --lp=K run have none installed.
+void print_phase_split(std::ostream& os, const burst::ExperimentResult& r,
+                       const burst::Profiler& prof) {
+  if (!r.lp_phases.empty() || r.sim_events == 0) return;
+  const double events = static_cast<double>(r.sim_events);
+  const double total = prof.total_seconds();
+  std::vector<std::vector<std::string>> rows;
+  const auto row = [&](std::string name, double s) {
+    rows.push_back({std::move(name), burst::fmt(s * 1e9 / events, 1),
+                    burst::fmt(total > 0.0 ? 100.0 * s / total : 0.0, 1) +
+                        " %"});
+  };
+  for (std::size_t ph = 0; ph < burst::kProfilePhases; ++ph) {
+    const auto phase = static_cast<burst::ProfilePhase>(ph);
+    row(std::string(burst::to_string(phase)), prof.seconds(phase));
+  }
+  row("total", total);
+  os << "\nphase split (lp1, self time per executed event):\n";
+  burst::print_table(os, {"phase", "ns/event", "share"}, rows);
 }
 
 // Writes one export of the structured trace; returns success.
@@ -160,7 +187,10 @@ int main(int argc, char** argv) {
               << " nodes), " << spec->scenario.duration
               << " s simulated, seed " << spec->scenario.seed
               << "\nfingerprint: " << topo_key(*spec).hex() << "\n";
+    Profiler prof;
+    Profiler* prev = topo_profile ? Profiler::install(&prof) : nullptr;
     const ExperimentResult r = run_topo_experiment(*spec, topt);
+    if (topo_profile) Profiler::install(prev);
     print_table(
         std::cout, {"metric", "value"},
         {
@@ -179,6 +209,7 @@ int main(int argc, char** argv) {
             {"routing errors", std::to_string(r.routing_errors)},
         });
     print_lp_phases(std::cout, r, topo_profile);
+    if (topo_profile) print_phase_split(std::cout, r, prof);
     return 0;
   }
 
@@ -211,7 +242,10 @@ int main(int argc, char** argv) {
   const Scenario& sc = request->scenario;
   std::cout << "running: " << sc.label() << ", " << sc.duration
             << " s simulated, seed " << sc.seed << "\n";
+  Profiler prof;
+  Profiler* prev = request->profile ? Profiler::install(&prof) : nullptr;
   const ExperimentResult r = run_experiment(sc, request->options);
+  if (request->profile) Profiler::install(prev);
 
   print_table(
       std::cout, {"metric", "value"},
@@ -230,6 +264,7 @@ int main(int argc, char** argv) {
           {"Jain fairness", fmt(r.fairness, 4)},
       });
   print_lp_phases(std::cout, r, request->profile);
+  if (request->profile) print_phase_split(std::cout, r, prof);
 
   if (!request->options.trace_clients.empty()) {
     std::cout << '\n';
